@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 fn bench_fig10(c: &mut Criterion) {
@@ -14,12 +13,10 @@ fn bench_fig10(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
 
     for cycles in 0..=3usize {
-        for engine in EngineKind::all() {
-            let mut g = build_loaded(5, 50, DatasetKind::Integers, cycles, engine, 53);
-            group.bench_with_input(BenchmarkId::new(engine.label(), cycles), &cycles, |b, _| {
-                b.iter(|| g.cdss.recompute_all().unwrap());
-            });
-        }
+        let mut g = build_loaded(5, 50, DatasetKind::Integers, cycles, 53);
+        group.bench_with_input(BenchmarkId::new("pipelined", cycles), &cycles, |b, _| {
+            b.iter(|| g.cdss.recompute_all().unwrap());
+        });
     }
     group.finish();
 }

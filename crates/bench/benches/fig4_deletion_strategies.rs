@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 const BASE: usize = 40;
@@ -25,14 +24,7 @@ fn bench_fig4(c: &mut Criterion) {
                 |b, &(ratio, strategy)| {
                     b.iter_batched(
                         || {
-                            let mut g = build_loaded(
-                                PEERS,
-                                BASE,
-                                DatasetKind::Integers,
-                                0,
-                                EngineKind::Pipelined,
-                                11,
-                            );
+                            let mut g = build_loaded(PEERS, BASE, DatasetKind::Integers, 0, 11);
                             let count = g.entries_for_ratio(ratio);
                             let batch = g.deletion_batch(count);
                             (g, batch)

@@ -1,10 +1,9 @@
 //! Figure 5: time for a peer joining the system — the initial full
-//! computation of all instances — for both engines and both datasets.
+//! computation of all instances — for both datasets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 fn bench_fig5(c: &mut Criterion) {
@@ -19,19 +18,17 @@ fn bench_fig5(c: &mut Criterion) {
                 DatasetKind::Integers => 80,
                 DatasetKind::Strings => 30,
             };
-            for engine in EngineKind::all() {
-                let mut g = build_loaded(peers, base, dataset, 0, engine, 23);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{}-{}", dataset.label(), engine.label()), peers),
-                    &peers,
-                    |b, _| {
-                        // recompute_all clears and rebuilds all derived
-                        // relations, so repeated iterations measure the same
-                        // work as a fresh join.
-                        b.iter(|| g.cdss.recompute_all().unwrap());
-                    },
-                );
-            }
+            let mut g = build_loaded(peers, base, dataset, 0, 23);
+            group.bench_with_input(
+                BenchmarkId::new(format!("{}-pipelined", dataset.label()), peers),
+                &peers,
+                |b, _| {
+                    // recompute_all clears and rebuilds all derived
+                    // relations, so repeated iterations measure the same
+                    // work as a fresh join.
+                    b.iter(|| g.cdss.recompute_all().unwrap());
+                },
+            );
         }
     }
     group.finish();

@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 fn bench_fig6(c: &mut Criterion) {
@@ -16,14 +15,7 @@ fn bench_fig6(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
 
     for peers in [2usize, 5, 10] {
-        let g = build_loaded(
-            peers,
-            80,
-            DatasetKind::Integers,
-            0,
-            EngineKind::Pipelined,
-            31,
-        );
+        let g = build_loaded(peers, 80, DatasetKind::Integers, 0, 31);
         group.bench_with_input(BenchmarkId::new("collect_stats", peers), &peers, |b, _| {
             b.iter(|| {
                 let stats = g.cdss.instance_stats();

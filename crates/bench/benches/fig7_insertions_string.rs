@@ -1,10 +1,9 @@
 //! Figure 7: incremental insertion scalability on the string (wide-tuple)
-//! dataset, for both engines and both update sizes.
+//! dataset, for both update sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -14,25 +13,22 @@ fn bench_fig7(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
 
     for peers in [2usize, 5] {
-        for engine in EngineKind::all() {
-            for pct in [0.01f64, 0.1] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{}-{}%", engine.label(), pct * 100.0), peers),
-                    &peers,
-                    |b, &peers| {
-                        b.iter_batched(
-                            || {
-                                let mut g =
-                                    build_loaded(peers, 30, DatasetKind::Strings, 0, engine, 41);
-                                let batch = g.fresh_insertions(g.entries_for_ratio(pct));
-                                (g, batch)
-                            },
-                            |(mut g, batch)| g.cdss.apply_insertions_incremental(&batch).unwrap(),
-                            criterion::BatchSize::LargeInput,
-                        );
-                    },
-                );
-            }
+        for pct in [0.01f64, 0.1] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("pipelined-{}%", pct * 100.0), peers),
+                &peers,
+                |b, &peers| {
+                    b.iter_batched(
+                        || {
+                            let mut g = build_loaded(peers, 30, DatasetKind::Strings, 0, 41);
+                            let batch = g.fresh_insertions(g.entries_for_ratio(pct));
+                            (g, batch)
+                        },
+                        |(mut g, batch)| g.cdss.apply_insertions_incremental(&batch).unwrap(),
+                        criterion::BatchSize::LargeInput,
+                    );
+                },
+            );
         }
     }
     group.finish();

@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use orchestra_bench::build_loaded;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::DatasetKind;
 
 fn bench_fig9(c: &mut Criterion) {
@@ -26,14 +25,7 @@ fn bench_fig9(c: &mut Criterion) {
                     |b, &peers| {
                         b.iter_batched(
                             || {
-                                let mut g = build_loaded(
-                                    peers,
-                                    base,
-                                    dataset,
-                                    0,
-                                    EngineKind::Pipelined,
-                                    43,
-                                );
+                                let mut g = build_loaded(peers, base, dataset, 0, 43);
                                 let batch = g.deletion_batch(g.entries_for_ratio(pct));
                                 (g, batch)
                             },

@@ -85,8 +85,8 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
 
     // Snapshot-read latency gate: with lock-free snapshot reads, QueryLocal
     // p99 while a bulk exchange runs must stay within a small multiple of
-    // the idle p99 (locked reads stall for the whole exchange instead).
-    let lat = run_net_latency(scale, false);
+    // the idle p99.
+    let lat = run_net_latency(scale);
     println!(
         "net-latency gate: idle p99 {:?} -> {:?} under exchange (exchange took {:?}, {} samples)",
         lat.idle.p99, lat.exchanging.p99, lat.exchange_wall, lat.exchanging.count
@@ -140,10 +140,9 @@ fn snapshot_mode(label: &str, out_path: &str, scale: Scale) -> i32 {
     // exchange (see [`run_obs_overhead`]) — recorded so the overhead
     // trajectory is visible across PRs next to the workloads it taxes.
     rows.extend(run_obs_overhead(scale));
-    // Query latency under a concurrent exchange, in both read modes: the
-    // snapshot rows feed the CI gate, the locked rows record the contrast.
-    rows.extend(latency_rows(&run_net_latency(scale, false)));
-    rows.extend(latency_rows(&run_net_latency(scale, true)));
+    // Query latency under a concurrent exchange (the rows behind the
+    // p99-under-exchange CI gate).
+    rows.extend(latency_rows(&run_net_latency(scale)));
     println!(
         "{:<36} {:>14} {:>10} {:>12}",
         "workload", "median_ns", "ops", "ns/op"
@@ -217,16 +216,12 @@ fn main() {
     }
 
     println!("\nFigure 5: time to compute initial instances (\"time to join\")");
-    println!(
-        "{:<7} {:<9} {:<26} {:>12}",
-        "peers", "dataset", "engine", "seconds"
-    );
+    println!("{:<7} {:<9} {:>12}", "peers", "dataset", "seconds");
     for r in run_fig5(scale) {
         println!(
-            "{:<7} {:<9} {:<26} {:>12.4}",
+            "{:<7} {:<9} {:>12.4}",
             r.peers,
             r.dataset.label(),
-            r.engine.label(),
             r.seconds
         );
     }
@@ -254,16 +249,13 @@ fn main() {
 
     println!("\nFigure 10: effect of cycles (5 peers, integer dataset)");
     println!(
-        "{:<8} {:<26} {:>12} {:>16}",
-        "cycles", "engine", "seconds", "fixpoint tuples"
+        "{:<8} {:>12} {:>16}",
+        "cycles", "seconds", "fixpoint tuples"
     );
     for r in run_fig10(scale) {
         println!(
-            "{:<8} {:<26} {:>12.4} {:>16}",
-            r.cycles,
-            r.engine.label(),
-            r.seconds,
-            r.fixpoint_tuples
+            "{:<8} {:>12.4} {:>16}",
+            r.cycles, r.seconds, r.fixpoint_tuples
         );
     }
 
@@ -286,15 +278,14 @@ fn main() {
 
 fn print_incremental(rows: &[orchestra_bench::IncrementalRow]) {
     println!(
-        "{:<7} {:<9} {:<26} {:>8} {:>12} {:>10}",
-        "peers", "dataset", "engine", "update%", "seconds", "affected"
+        "{:<7} {:<9} {:>8} {:>12} {:>10}",
+        "peers", "dataset", "update%", "seconds", "affected"
     );
     for r in rows {
         println!(
-            "{:<7} {:<9} {:<26} {:>8} {:>12.4} {:>10}",
+            "{:<7} {:<9} {:>8} {:>12.4} {:>10}",
             r.peers,
             r.dataset.label(),
-            r.engine.label(),
             format!("{:.0}%", r.update_pct * 100.0),
             r.seconds,
             r.affected

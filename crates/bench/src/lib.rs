@@ -15,7 +15,7 @@
 //!
 //! Each `run_figN` function sweeps the same relative parameters the paper
 //! sweeps (number of peers, update percentage, deletion ratio, number of
-//! cycles, dataset, engine) at a laptop-friendly scale and returns one row
+//! cycles, dataset) at a laptop-friendly scale and returns one row
 //! per plotted point. The `experiments` binary prints the rows as tables and
 //! they are recorded in `EXPERIMENTS.md`; the Criterion benches under
 //! `benches/` time representative cells of the same sweeps.
@@ -34,7 +34,6 @@ pub mod snapshot;
 use std::time::Instant;
 
 use orchestra_core::ExchangeReport;
-use orchestra_datalog::EngineKind;
 use orchestra_workload::{generate, DatasetKind, GeneratedCdss, WorkloadConfig};
 
 /// Scale factor applied to the base sizes of every experiment. `1.0` is the
@@ -71,7 +70,6 @@ pub fn build_loaded(
     base_size: usize,
     dataset: DatasetKind,
     cycles: usize,
-    engine: EngineKind,
     seed: u64,
 ) -> GeneratedCdss {
     let config = WorkloadConfig {
@@ -83,7 +81,6 @@ pub fn build_loaded(
         ..Default::default()
     };
     let mut generated = generate(&config).expect("workload generation succeeds");
-    generated.cdss.set_engine(engine);
     generated.load_base().expect("base load succeeds");
     generated
 }
@@ -118,7 +115,7 @@ pub fn run_fig4(scale: Scale) -> Vec<Fig4Row> {
     let mut rows = Vec::new();
     for &ratio in &ratios {
         for strategy in ["incremental", "dred", "recompute"] {
-            let mut g = build_loaded(5, base, DatasetKind::Integers, 0, EngineKind::Pipelined, 11);
+            let mut g = build_loaded(5, base, DatasetKind::Integers, 0, 11);
             let count = g.entries_for_ratio(ratio);
             let batch = g.deletion_batch(count);
             let report = match strategy {
@@ -157,15 +154,12 @@ pub struct Fig5Row {
     pub peers: usize,
     /// Dataset variant.
     pub dataset: DatasetKind,
-    /// Execution backend.
-    pub engine: EngineKind,
     /// Wall-clock seconds for the initial full computation.
     pub seconds: f64,
 }
 
 /// Figure 5: time for the system to compute all instances from scratch
-/// ("time to join"), for both engines and both datasets, as the number of
-/// peers grows.
+/// ("time to join"), for both datasets, as the number of peers grows.
 pub fn run_fig5(scale: Scale) -> Vec<Fig5Row> {
     // The same base size for both datasets, so the string-vs-integer
     // comparison isolates per-tuple data volume (as in the paper).
@@ -173,16 +167,13 @@ pub fn run_fig5(scale: Scale) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for &peers in &[2usize, 5, 10] {
         for dataset in [DatasetKind::Integers, DatasetKind::Strings] {
-            for engine in EngineKind::all() {
-                let mut g = build_loaded(peers, base, dataset, 0, engine, 23);
-                let report = g.cdss.recompute_all().unwrap();
-                rows.push(Fig5Row {
-                    peers,
-                    dataset,
-                    engine,
-                    seconds: seconds(&report),
-                });
-            }
+            let mut g = build_loaded(peers, base, dataset, 0, 23);
+            let report = g.cdss.recompute_all().unwrap();
+            rows.push(Fig5Row {
+                peers,
+                dataset,
+                seconds: seconds(&report),
+            });
         }
     }
     rows
@@ -207,22 +198,8 @@ pub fn run_fig6(scale: Scale) -> Vec<Fig6Row> {
     let base = scale.entries(100);
     let mut rows = Vec::new();
     for &peers in &[2usize, 5, 10] {
-        let g_int = build_loaded(
-            peers,
-            base,
-            DatasetKind::Integers,
-            0,
-            EngineKind::Pipelined,
-            31,
-        );
-        let g_str = build_loaded(
-            peers,
-            base,
-            DatasetKind::Strings,
-            0,
-            EngineKind::Pipelined,
-            31,
-        );
+        let g_int = build_loaded(peers, base, DatasetKind::Integers, 0, 31);
+        let g_str = build_loaded(peers, base, DatasetKind::Strings, 0, 31);
         let int_stats = g_int.cdss.instance_stats();
         let str_stats = g_str.cdss.instance_stats();
         rows.push(Fig6Row {
@@ -246,8 +223,6 @@ pub struct IncrementalRow {
     pub peers: usize,
     /// Dataset variant.
     pub dataset: DatasetKind,
-    /// Execution backend.
-    pub engine: EngineKind,
     /// Update size as a fraction of the base size (0.01 or 0.1).
     pub update_pct: f64,
     /// Wall-clock seconds for the incremental propagation.
@@ -267,21 +242,18 @@ fn run_incremental_insertions(
     };
     let mut rows = Vec::new();
     for &peers in peer_counts {
-        for engine in EngineKind::all() {
-            for &pct in &[0.01, 0.1] {
-                let mut g = build_loaded(peers, base, dataset, 0, engine, 41);
-                let count = g.entries_for_ratio(pct);
-                let batch = g.fresh_insertions(count);
-                let report = g.cdss.apply_insertions_incremental(&batch).unwrap();
-                rows.push(IncrementalRow {
-                    peers,
-                    dataset,
-                    engine,
-                    update_pct: pct,
-                    seconds: seconds(&report),
-                    affected: report.total_inserted(),
-                });
-            }
+        for &pct in &[0.01, 0.1] {
+            let mut g = build_loaded(peers, base, dataset, 0, 41);
+            let count = g.entries_for_ratio(pct);
+            let batch = g.fresh_insertions(count);
+            let report = g.cdss.apply_insertions_incremental(&batch).unwrap();
+            rows.push(IncrementalRow {
+                peers,
+                dataset,
+                update_pct: pct,
+                seconds: seconds(&report),
+                affected: report.total_inserted(),
+            });
         }
     }
     rows
@@ -297,8 +269,7 @@ pub fn run_fig8(scale: Scale) -> Vec<IncrementalRow> {
     run_incremental_insertions(scale, DatasetKind::Integers, &[2, 5, 10])
 }
 
-/// Figure 9: incremental deletion scalability on both datasets (pipelined
-/// engine, matching the paper's DB2-only deletion figure in spirit).
+/// Figure 9: incremental deletion scalability on both datasets.
 pub fn run_fig9(scale: Scale) -> Vec<IncrementalRow> {
     let mut rows = Vec::new();
     for dataset in [DatasetKind::Integers, DatasetKind::Strings] {
@@ -308,14 +279,13 @@ pub fn run_fig9(scale: Scale) -> Vec<IncrementalRow> {
         };
         for &peers in &[2usize, 5, 10] {
             for &pct in &[0.01, 0.1] {
-                let mut g = build_loaded(peers, base, dataset, 0, EngineKind::Pipelined, 43);
+                let mut g = build_loaded(peers, base, dataset, 0, 43);
                 let count = g.entries_for_ratio(pct);
                 let batch = g.deletion_batch(count);
                 let report = g.cdss.apply_deletions_incremental(&batch).unwrap();
                 rows.push(IncrementalRow {
                     peers,
                     dataset,
-                    engine: EngineKind::Pipelined,
                     update_pct: pct,
                     seconds: seconds(&report),
                     affected: report.total_deleted(),
@@ -335,8 +305,6 @@ pub fn run_fig9(scale: Scale) -> Vec<IncrementalRow> {
 pub struct Fig10Row {
     /// Number of extra cycle-closing mappings.
     pub cycles: usize,
-    /// Execution backend.
-    pub engine: EngineKind,
     /// Wall-clock seconds for the initial computation.
     pub seconds: f64,
     /// Number of tuples in all derived relations at fixpoint.
@@ -349,16 +317,13 @@ pub fn run_fig10(scale: Scale) -> Vec<Fig10Row> {
     let base = scale.entries(100);
     let mut rows = Vec::new();
     for cycles in 0..=3usize {
-        for engine in EngineKind::all() {
-            let mut g = build_loaded(5, base, DatasetKind::Integers, cycles, engine, 53);
-            let report = g.cdss.recompute_all().unwrap();
-            rows.push(Fig10Row {
-                cycles,
-                engine,
-                seconds: seconds(&report),
-                fixpoint_tuples: g.cdss.total_output_tuples(),
-            });
-        }
+        let mut g = build_loaded(5, base, DatasetKind::Integers, cycles, 53);
+        let report = g.cdss.recompute_all().unwrap();
+        rows.push(Fig10Row {
+            cycles,
+            seconds: seconds(&report),
+            fixpoint_tuples: g.cdss.total_output_tuples(),
+        });
     }
     rows
 }
@@ -567,12 +532,7 @@ mod tests {
     #[test]
     fn fig10_fixpoint_grows_with_cycles() {
         let rows = run_fig10(Scale(0.2));
-        let tuples_at = |c: usize| {
-            rows.iter()
-                .find(|r| r.cycles == c && r.engine == EngineKind::Pipelined)
-                .unwrap()
-                .fixpoint_tuples
-        };
+        let tuples_at = |c: usize| rows.iter().find(|r| r.cycles == c).unwrap().fixpoint_tuples;
         assert!(tuples_at(3) >= tuples_at(0));
     }
 }

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use orchestra_datalog::{bound_scan, parse_program, EngineKind, Evaluator, PlanCache};
+use orchestra_datalog::{bound_scan, parse_program, Evaluator, PlanCache};
 use orchestra_storage::{tuple::int_tuple, Database, RelationSchema, Value};
 use orchestra_workload::DatasetKind;
 
@@ -106,7 +106,7 @@ fn tc_database(chain: i64, extra: usize) -> Database {
 }
 
 /// The pure-datalog join core workload: transitive closure to fixpoint.
-fn tc_fixpoint(engine: EngineKind, scale: Scale) -> SnapshotRow {
+fn tc_fixpoint(scale: Scale) -> SnapshotRow {
     let program = parse_program(
         "path(x, y) :- edge(x, y).\n\
          path(x, z) :- path(x, y), edge(y, z).",
@@ -115,10 +115,10 @@ fn tc_fixpoint(engine: EngineKind, scale: Scale) -> SnapshotRow {
     let chain = scale.entries(60) as i64;
     let extra = scale.entries(30);
     measure(
-        &format!("tc_fixpoint/{}", engine_key(engine)),
+        "tc_fixpoint/pipelined",
         || tc_database(chain, extra),
         |db| {
-            let mut eval = Evaluator::new(engine);
+            let mut eval = Evaluator::new();
             eval.run(&program, db).unwrap();
             db.relation("path").unwrap().len()
         },
@@ -143,7 +143,7 @@ fn tc_fixpoint_threads(threads: usize, scale: Scale) -> SnapshotRow {
         &format!("par_sweep/tc_fixpoint/t{threads}"),
         || tc_database(chain, extra),
         |db| {
-            let mut eval = Evaluator::with_pool(EngineKind::Pipelined, pool.clone());
+            let mut eval = Evaluator::with_pool(pool.clone());
             eval.run(&program, db).unwrap();
             db.relation("path").unwrap().len()
         },
@@ -153,7 +153,7 @@ fn tc_fixpoint_threads(threads: usize, scale: Scale) -> SnapshotRow {
 /// Incremental transitive-closure insertions: the delta-join workload,
 /// measured in steady state (persistent evaluator + warm plan cache, as a
 /// long-running exchange service would hold them).
-fn tc_incremental(engine: EngineKind, scale: Scale) -> SnapshotRow {
+fn tc_incremental(scale: Scale) -> SnapshotRow {
     let program = parse_program(
         "path(x, y) :- edge(x, y).\n\
          path(x, z) :- path(x, y), edge(y, z).",
@@ -162,17 +162,15 @@ fn tc_incremental(engine: EngineKind, scale: Scale) -> SnapshotRow {
     let chain = scale.entries(60) as i64;
     let extra = scale.entries(30);
     measure(
-        &format!("tc_incremental/{}", engine_key(engine)),
+        "tc_incremental/pipelined",
         || {
             let mut db = tc_database(chain, extra);
-            let mut eval = Evaluator::new(engine);
+            let mut eval = Evaluator::new();
             let mut cache = PlanCache::new();
             eval.run_filtered_cached(&mut cache, &program, &mut db, None)
                 .unwrap();
-            // Warm the delta plans (and, for the batch backend, promote its
-            // repeatedly-rebuilt throwaway indexes to maintained ones) at
-            // post-fixpoint cardinalities with two small extensions disjoint
-            // from the measured one.
+            // Warm the delta plans at post-fixpoint cardinalities with two
+            // small extensions disjoint from the measured one.
             for round in 0..2i64 {
                 let mut warm = HashMap::new();
                 warm.insert(
@@ -228,7 +226,7 @@ pub fn run_magic_point(scale: Scale) -> Vec<SnapshotRow> {
         || tc_database(chain, extra),
         |db| {
             let mut cache = PlanCache::new();
-            let mut eval = Evaluator::new(EngineKind::Pipelined);
+            let mut eval = Evaluator::new();
             let answers = eval
                 .run_demand_cached(&mut cache, &program, db, "path", &binding)
                 .unwrap();
@@ -239,7 +237,7 @@ pub fn run_magic_point(scale: Scale) -> Vec<SnapshotRow> {
         "magic_point/full_fixpoint",
         || tc_database(chain, extra),
         |db| {
-            let mut eval = Evaluator::new(EngineKind::Pipelined);
+            let mut eval = Evaluator::new();
             eval.run(&program, db).unwrap();
             bound_scan(db, "path", &binding).unwrap().len().max(1)
         },
@@ -295,13 +293,6 @@ pub fn run_magic_gate(scale: Scale) -> MagicGate {
     MagicGate {
         demand_ns: rows[0].median_ns,
         full_ns: rows[1].median_ns,
-    }
-}
-
-fn engine_key(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Batch => "batch",
-        EngineKind::Pipelined => "pipelined",
     }
 }
 
@@ -385,10 +376,10 @@ pub fn run_pool_churn(scale: Scale) -> PoolChurn {
 pub fn run_obs_overhead(scale: Scale) -> Vec<SnapshotRow> {
     let was_enabled = orchestra_obs::trace::is_enabled();
     orchestra_obs::trace::disable();
-    let mut off = fig7_insertions(EngineKind::Pipelined, scale);
+    let mut off = fig7_insertions(scale);
     off.workload = "obs_overhead/trace_off".to_string();
     orchestra_obs::trace::enable();
-    let mut on = fig7_insertions(EngineKind::Pipelined, scale);
+    let mut on = fig7_insertions(scale);
     on.workload = "obs_overhead/trace_on".to_string();
     if !was_enabled {
         orchestra_obs::trace::disable();
@@ -398,22 +389,22 @@ pub fn run_obs_overhead(scale: Scale) -> Vec<SnapshotRow> {
 
 /// Figure 5 reduced workload: full recomputation ("time to join") on the
 /// SWISS-PROT-style string dataset.
-fn fig5_join(engine: EngineKind, scale: Scale) -> SnapshotRow {
-    fig5_join_at(engine, scale, None)
+fn fig5_join(scale: Scale) -> SnapshotRow {
+    fig5_join_at(scale, None)
 }
 
 /// [`fig5_join`], optionally with the CDSS fixpoint pool pinned to
 /// `threads` workers (sweep rows are named `par_sweep/fig5_join/tN`).
-fn fig5_join_at(engine: EngineKind, scale: Scale, threads: Option<usize>) -> SnapshotRow {
+fn fig5_join_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     let base = scale.entries(50);
     let name = match threads {
-        None => format!("fig5_join/strings/{}", engine_key(engine)),
+        None => "fig5_join/strings/pipelined".to_string(),
         Some(t) => format!("par_sweep/fig5_join/t{t}"),
     };
     measure(
         &name,
         || {
-            let mut g = build_loaded(5, base, DatasetKind::Strings, 0, engine, 23);
+            let mut g = build_loaded(5, base, DatasetKind::Strings, 0, 23);
             if let Some(t) = threads {
                 g.cdss.set_eval_threads(t);
             }
@@ -429,22 +420,22 @@ fn fig5_join_at(engine: EngineKind, scale: Scale, threads: Option<usize>) -> Sna
 /// Figure 7 reduced workload: incremental insertions on the string dataset,
 /// measured in steady state (the measured batch is generated first, then a
 /// warmup exchange runs, so the batch matches earlier recordings).
-fn fig7_insertions(engine: EngineKind, scale: Scale) -> SnapshotRow {
-    fig7_insertions_at(engine, scale, None)
+fn fig7_insertions(scale: Scale) -> SnapshotRow {
+    fig7_insertions_at(scale, None)
 }
 
 /// [`fig7_insertions`], optionally with the CDSS fixpoint pool pinned to
 /// `threads` workers (sweep rows are named `par_sweep/fig7_insertions/tN`).
-fn fig7_insertions_at(engine: EngineKind, scale: Scale, threads: Option<usize>) -> SnapshotRow {
+fn fig7_insertions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     let base = scale.entries(40);
     let name = match threads {
-        None => format!("fig7_insertions/strings/{}", engine_key(engine)),
+        None => "fig7_insertions/strings/pipelined".to_string(),
         Some(t) => format!("par_sweep/fig7_insertions/t{t}"),
     };
     measure(
         &name,
         || {
-            let mut g = build_loaded(5, base, DatasetKind::Strings, 0, engine, 41);
+            let mut g = build_loaded(5, base, DatasetKind::Strings, 0, 41);
             if let Some(t) = threads {
                 g.cdss.set_eval_threads(t);
             }
@@ -479,7 +470,7 @@ fn fig9_deletions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     measure(
         &name,
         || {
-            let mut g = build_loaded(5, base, DatasetKind::Integers, 0, EngineKind::Pipelined, 43);
+            let mut g = build_loaded(5, base, DatasetKind::Integers, 0, 43);
             if let Some(t) = threads {
                 g.cdss.set_eval_threads(t);
             }
@@ -496,20 +487,13 @@ fn fig9_deletions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
 
 /// Run every snapshot workload at the given scale.
 pub fn run_snapshot(scale: Scale) -> Vec<SnapshotRow> {
-    let mut rows = Vec::new();
-    for engine in EngineKind::all() {
-        rows.push(tc_fixpoint(engine, scale));
-    }
-    for engine in EngineKind::all() {
-        rows.push(tc_incremental(engine, scale));
-    }
-    for engine in EngineKind::all() {
-        rows.push(fig5_join(engine, scale));
-    }
-    for engine in EngineKind::all() {
-        rows.push(fig7_insertions(engine, scale));
-    }
-    rows.push(fig9_deletions(scale));
+    let mut rows = vec![
+        tc_fixpoint(scale),
+        tc_incremental(scale),
+        fig5_join(scale),
+        fig7_insertions(scale),
+        fig9_deletions(scale),
+    ];
     rows.extend(run_magic_point(scale));
     rows
 }
@@ -536,8 +520,8 @@ pub fn run_thread_sweep(scale: Scale) -> Vec<SnapshotRow> {
     let mut rows = Vec::new();
     for t in sweep_threads() {
         rows.push(tc_fixpoint_threads(t, scale));
-        rows.push(fig5_join_at(EngineKind::Pipelined, scale, Some(t)));
-        rows.push(fig7_insertions_at(EngineKind::Pipelined, scale, Some(t)));
+        rows.push(fig5_join_at(scale, Some(t)));
+        rows.push(fig7_insertions_at(scale, Some(t)));
         rows.push(fig9_deletions_at(scale, Some(t)));
     }
     rows.push(SnapshotRow {
@@ -799,7 +783,7 @@ mod tests {
     #[test]
     fn snapshot_rows_have_sane_shape() {
         // One tiny cell end-to-end, so the harness itself is covered.
-        let row = tc_fixpoint(EngineKind::Pipelined, Scale(0.2));
+        let row = tc_fixpoint(Scale(0.2));
         assert!(row.ops > 0);
         assert!(row.median_ns > 0);
         assert!(row.ns_per_op > 0.0);

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use orchestra_datalog::EngineKind;
 use orchestra_mappings::{MappingSystem, ProvenanceEncoding, Tgd};
 use orchestra_storage::{Database, RelationSchema};
 
@@ -31,7 +30,6 @@ pub struct CdssBuilder {
     peers: Vec<Peer>,
     tgds: Vec<Tgd>,
     policies: BTreeMap<PeerId, TrustPolicy>,
-    engine: Option<EngineKind>,
     encoding: ProvenanceEncoding,
     persist_dir: Option<std::path::PathBuf>,
     compaction: Option<CompactionPolicy>,
@@ -71,13 +69,6 @@ impl CdssBuilder {
     /// Set the trust policy of a peer (defaults to trust-everything).
     pub fn trust_policy(mut self, peer: impl Into<PeerId>, policy: TrustPolicy) -> Self {
         self.policies.insert(peer.into(), policy);
-        self
-    }
-
-    /// Select the execution backend (defaults to
-    /// [`EngineKind::Pipelined`]).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = Some(kind);
         self
     }
 
@@ -164,14 +155,7 @@ impl CdssBuilder {
         let mut db = Database::new();
         system.register_relations(&mut db)?;
 
-        let mut cdss = Cdss::from_parts(
-            peers,
-            relation_owner,
-            system,
-            self.policies,
-            self.engine.unwrap_or(EngineKind::Pipelined),
-            db,
-        )?;
+        let mut cdss = Cdss::from_parts(peers, relation_owner, system, self.policies, db)?;
         if let Some(policy) = self.compaction {
             cdss.set_compaction_policy(policy);
         }
@@ -261,14 +245,12 @@ mod tests {
             .add_peer("PGUS", gus())
             .add_peer("PBioSQL", biosql())
             .add_mapping_str("m1", "G(i, c, n) -> B(i, n)")
-            .engine(EngineKind::Batch)
             .build()
             .unwrap();
         assert_eq!(cdss.peer_ids(), vec!["PBioSQL", "PGUS"]);
         assert!(cdss.database().has_relation("B_i"));
         assert!(cdss.database().has_relation("G_l"));
         assert!(cdss.database().has_relation("P_m1"));
-        assert_eq!(cdss.engine(), EngineKind::Batch);
         assert_eq!(cdss.owner_of("B"), Some("PBioSQL"));
         assert_eq!(cdss.owner_of("Z"), None);
     }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use orchestra_datalog::rule::Rule;
-use orchestra_datalog::{EngineKind, Evaluator, PlanCache};
+use orchestra_datalog::{Evaluator, PlanCache};
 use orchestra_mappings::MappingSystem;
 use orchestra_pool::Pool;
 use orchestra_provenance::{
@@ -149,7 +149,6 @@ pub struct Cdss {
     relation_owner: BTreeMap<String, PeerId>,
     system: Arc<MappingSystem>,
     policies: BTreeMap<PeerId, TrustPolicy>,
-    engine: EngineKind,
     pub(crate) db: Database,
     /// The provenance graph, maintained **lazily**: bulk recomputation and
     /// deletion propagation merely invalidate it, and the rebuild is paid on
@@ -207,7 +206,6 @@ impl Cdss {
         relation_owner: BTreeMap<String, PeerId>,
         system: MappingSystem,
         policies: BTreeMap<PeerId, TrustPolicy>,
-        engine: EngineKind,
         db: Database,
     ) -> Result<Self> {
         // Static analysis gates registration: a program that could diverge
@@ -224,7 +222,6 @@ impl Cdss {
             relation_owner,
             system,
             policies,
-            engine,
             db,
             graph: Mutex::new(GraphCache::default()),
             plans: PlanCache::new(),
@@ -322,17 +319,6 @@ impl Cdss {
     /// The peer owning a logical relation, if any.
     pub fn owner_of(&self, relation: &str) -> Option<&str> {
         self.relation_owner.get(relation).map(String::as_str)
-    }
-
-    /// The configured execution backend.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// Switch the execution backend (used by the benchmark harness to compare
-    /// the DB2-style and Tukwila-style engines on identical state).
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
     }
 
     /// Pin fixpoint evaluation to a dedicated pool of `threads` workers
@@ -436,7 +422,6 @@ impl Cdss {
             &mut self.db,
             self.graph.get_mut().unwrap_or_else(|e| e.into_inner()),
             &mut self.plans,
-            self.engine,
             self.eval_pool.as_ref(),
         )
     }
@@ -798,8 +783,8 @@ impl Cdss {
                 })
                 .collect(),
         );
-        let mut eval = Evaluator::new(self.engine);
-        let mut out = eval.evaluate_rule(&translated, &mut self.db, None, None)?;
+        let mut eval = make_evaluator(self.eval_pool.as_ref());
+        let mut out = eval.evaluate_rule(&translated, &mut self.db, None)?;
         out.sort();
         out.dedup();
         Ok(out)
@@ -895,7 +880,7 @@ const _: () = {
 
 /// The split borrows handed to the evaluation strategies: immutable mapping
 /// system, trust policies and relation ownership alongside mutable database,
-/// provenance-graph cache and plan cache, plus the engine selection.
+/// provenance-graph cache and plan cache, plus the pinned evaluation pool.
 pub(crate) type EvalParts<'a> = (
     &'a MappingSystem,
     &'a BTreeMap<PeerId, TrustPolicy>,
@@ -903,16 +888,15 @@ pub(crate) type EvalParts<'a> = (
     &'a mut Database,
     &'a mut GraphCache,
     &'a mut PlanCache,
-    EngineKind,
     Option<&'a orchestra_pool::Pool>,
 );
 
-/// An [`Evaluator`] for the given backend, on the explicitly configured
-/// pool when one is set and the evaluator default otherwise.
-pub(crate) fn make_evaluator(engine: EngineKind, pool: Option<&orchestra_pool::Pool>) -> Evaluator {
+/// An [`Evaluator`] on the explicitly configured pool when one is set and
+/// the evaluator default otherwise.
+pub(crate) fn make_evaluator(pool: Option<&orchestra_pool::Pool>) -> Evaluator {
     match pool {
-        Some(p) => Evaluator::with_pool(engine, p.clone()),
-        None => Evaluator::new(engine),
+        Some(p) => Evaluator::with_pool(p.clone()),
+        None => Evaluator::new(),
     }
 }
 

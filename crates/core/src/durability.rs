@@ -9,7 +9,7 @@
 //!   pending edits first appends the peer's complete pending edit logs as
 //!   one epoch record (write-ahead), then publishes and propagates them;
 //! * a **snapshot** installed by [`Cdss::checkpoint`]: the system manifest
-//!   (peers, mappings, trust policies, engine, provenance encoding), the
+//!   (peers, mappings, trust policies, provenance encoding), the
 //!   full auxiliary database including all provenance relations, the
 //!   pending edit logs, and the epoch watermark.
 //!
@@ -33,7 +33,6 @@ use std::path::{Path, PathBuf};
 
 use orchestra_datalog::atom::Atom;
 use orchestra_datalog::term::Term;
-use orchestra_datalog::EngineKind;
 use orchestra_mappings::{ProvenanceEncoding, Tgd};
 use orchestra_persist::codec::{Decode, Encode, Reader, Writer};
 use orchestra_persist::snapshot::SnapshotRef;
@@ -48,6 +47,11 @@ use crate::Result;
 
 /// Version byte of the manifest encoding.
 const MANIFEST_VERSION: u8 = 1;
+
+/// The manifest's engine byte. The format once distinguished two execution
+/// backends (`0` batch, `1` pipelined); there is one engine now, so `1` is
+/// always written and both historical tags are accepted on read.
+const MANIFEST_ENGINE_TAG: u8 = 1;
 
 /// The persistence handle attached to a durable [`Cdss`]. During recovery
 /// replay no handle is attached yet, which is what keeps replayed exchanges
@@ -78,7 +82,6 @@ pub(crate) struct Manifest {
     peers: Vec<Peer>,
     tgds: Vec<Tgd>,
     policies: Vec<(String, TrustPolicy)>,
-    engine: EngineKind,
     encoding: ProvenanceEncoding,
 }
 
@@ -149,7 +152,6 @@ impl Manifest {
                 .map(|id| (id.clone(), cdss.trust_policy(id)))
                 .filter(|(_, p)| !p.is_trust_all())
                 .collect(),
-            engine: cdss.engine(),
             encoding: system.encoding,
         }
     }
@@ -176,10 +178,7 @@ impl Manifest {
             w.put_str(peer);
             policy.encode(&mut w);
         }
-        w.put_u8(match self.engine {
-            EngineKind::Batch => 0,
-            EngineKind::Pipelined => 1,
-        });
+        w.put_u8(MANIFEST_ENGINE_TAG);
         w.put_u8(match self.encoding {
             ProvenanceEncoding::CompositePerTgd => 0,
             ProvenanceEncoding::PerHeadAtom => 1,
@@ -225,17 +224,16 @@ impl Manifest {
             let peer = r.get_str()?.to_string();
             policies.push((peer, TrustPolicy::decode(&mut r)?));
         }
+        // Format compatibility: both historical backend tags name the one
+        // engine; anything else is damage.
         let offset = r.offset();
-        let engine = match r.get_u8()? {
-            0 => EngineKind::Batch,
-            1 => EngineKind::Pipelined,
-            tag => {
-                return Err(PersistError::corrupt(
-                    offset,
-                    format!("unknown engine tag {tag}"),
-                ))
-            }
-        };
+        let tag = r.get_u8()?;
+        if !matches!(tag, 0 | 1) {
+            return Err(PersistError::corrupt(
+                offset,
+                format!("unknown engine tag {tag}"),
+            ));
+        }
         let offset = r.offset();
         let encoding = match r.get_u8()? {
             0 => ProvenanceEncoding::CompositePerTgd,
@@ -254,16 +252,13 @@ impl Manifest {
             peers,
             tgds,
             policies,
-            engine,
             encoding,
         })
     }
 
     /// Reconstruct an empty CDSS with this manifest's structure.
     fn build_cdss(&self) -> Result<Cdss> {
-        let mut builder = crate::builder::CdssBuilder::new()
-            .engine(self.engine)
-            .provenance_encoding(self.encoding);
+        let mut builder = crate::builder::CdssBuilder::new().provenance_encoding(self.encoding);
         for peer in &self.peers {
             builder = builder.add_peer(peer.id.clone(), peer.relations.clone());
         }
@@ -448,8 +443,7 @@ impl Cdss {
         {
             // The snapshot carries no graph; it is rebuilt lazily on first
             // provenance read.
-            let (_system, _policies, _owner, _db, graph, _plans, _engine, _pool) =
-                cdss.split_for_eval();
+            let (_system, _policies, _owner, _db, graph, _plans, _pool) = cdss.split_for_eval();
             graph.invalidate();
         }
         // The build published an empty view before `cdss.db` was swapped in;
@@ -544,14 +538,13 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrips_structure_policies_and_engine() {
+    fn manifest_roundtrips_structure_and_policies() {
         let dir = TempDir::new("core-manifest");
         let cdss = persistent_example(dir.path());
         let bytes = Manifest::from_cdss(&cdss).encode();
         let back = Manifest::decode(&bytes).unwrap();
         let rebuilt = back.build_cdss().unwrap();
         assert_eq!(rebuilt.peer_ids(), cdss.peer_ids());
-        assert_eq!(rebuilt.engine(), cdss.engine());
         assert_eq!(
             rebuilt.mapping_system().tgds.len(),
             cdss.mapping_system().tgds.len()
@@ -565,6 +558,33 @@ mod tests {
             cdss.database().relation_names(),
             "all internal and provenance relations re-registered"
         );
+    }
+
+    #[test]
+    fn manifest_engine_byte_accepts_both_former_backends_only() {
+        let dir = TempDir::new("core-manifest-engine");
+        let cdss = persistent_example(dir.path());
+        let bytes = Manifest::from_cdss(&cdss).encode();
+        // Layout tail: [.., engine, encoding].
+        let engine_at = bytes.len() - 2;
+        assert_eq!(bytes[engine_at], MANIFEST_ENGINE_TAG);
+        for tag in 0..=u8::MAX {
+            let mut patched = bytes.clone();
+            patched[engine_at] = tag;
+            match Manifest::decode(&patched) {
+                Ok(back) => {
+                    assert!(tag <= 1, "tag {tag} must be rejected");
+                    assert_eq!(back.encode(), bytes, "re-encodes with the one tag");
+                }
+                Err(e) => {
+                    assert!(tag > 1, "former backend tag {tag} must decode: {e}");
+                    assert!(
+                        matches!(e, orchestra_persist::PersistError::Corrupt { .. }),
+                        "{e:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Cdss {
         let mut report = ExchangeReport::new(ExchangeStrategy::FullRecomputation);
 
         {
-            let (system, policies, owner, db, graph, plans, engine, pool) = self.split_for_eval();
+            let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
 
             for logical in system.logical_relations() {
                 db.relation_mut(&internal_name(&logical, InternalRole::Input))?
@@ -94,7 +94,7 @@ impl Cdss {
             } else {
                 Some(&filter)
             };
-            let mut eval = make_evaluator(engine, pool);
+            let mut eval = make_evaluator(pool);
             report.eval_stats = eval.run_filtered_cached(plans, &system.program, db, active)?;
 
             for logical in system.logical_relations() {
@@ -141,7 +141,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::IncrementalInsertion);
 
-        let (system, policies, owner, db, graph, plans, engine, pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
 
         let base: HashMap<String, Vec<Tuple>> = insertions
             .iter()
@@ -159,7 +159,7 @@ impl Cdss {
         } else {
             Some(&filter)
         };
-        let mut eval = make_evaluator(engine, pool);
+        let mut eval = make_evaluator(pool);
         let new = eval.propagate_insertions_cached(plans, &system.program, db, &base, active)?;
         report.eval_stats = eval.take_stats();
 
@@ -234,7 +234,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::IncrementalDeletion);
 
-        let (system, policies, owner, db, graph, _plans, _engine, _pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, _plans, _pool) = self.split_for_eval();
         // The derivability test below needs the graph in sync with the
         // pre-deletion store.
         graph.ensure(system, db);
@@ -347,7 +347,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::DRed);
 
-        let (system, policies, owner, db, graph, plans, engine, pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
 
         // 1. Apply the base changes and seed the over-deletion frontier.
         let mut frontier: HashMap<String, HashSet<Tuple>> = HashMap::new();
@@ -376,7 +376,7 @@ impl Cdss {
         //    derivable from a deleted tuple.
         let mut overdeleted: HashMap<String, HashSet<Tuple>> = HashMap::new();
         while !frontier.is_empty() {
-            let candidates = deletion_candidates(&system.program, db, &frontier, engine)?;
+            let candidates = deletion_candidates(&system.program, db, &frontier)?;
             for (rel, tuples) in &frontier {
                 for t in tuples {
                     if db.remove(rel, t)? {
@@ -411,7 +411,7 @@ impl Cdss {
         } else {
             Some(&filter)
         };
-        let mut eval = make_evaluator(engine, pool);
+        let mut eval = make_evaluator(pool);
         let mut rederive: HashMap<String, Vec<Tuple>> = HashMap::new();
         for rule in system.program.rules() {
             let Some(dead) = overdeleted.get(&rule.head.relation) else {
@@ -420,7 +420,7 @@ impl Cdss {
             if dead.is_empty() {
                 continue;
             }
-            let produced = eval.evaluate_rule(rule, db, None, active)?;
+            let produced = eval.evaluate_rule(rule, db, active)?;
             for t in produced {
                 if dead.contains(&t) {
                     rederive
@@ -540,12 +540,11 @@ mod tests {
     use crate::builder::CdssBuilder;
     use crate::trust::{CmpOp, Predicate, TrustPolicy};
     use orchestra_datalog::parser::parse_rule;
-    use orchestra_datalog::EngineKind;
     use orchestra_storage::tuple::int_tuple;
     use orchestra_storage::RelationSchema;
 
     /// The CDSS of the paper's running example (Figure 1 / Example 2).
-    fn example_cdss(engine: EngineKind) -> Cdss {
+    fn example_cdss() -> Cdss {
         CdssBuilder::new()
             .add_peer(
                 "PGUS",
@@ -557,7 +556,6 @@ mod tests {
             .add_mapping_str("m2", "G(i, c, n) -> U(n, c)")
             .add_mapping_str("m3", "B(i, n) -> U(n, c)")
             .add_mapping_str("m4", "B(i, c), U(n, c) -> B(i, n)")
-            .engine(engine)
             .build()
             .unwrap()
     }
@@ -576,40 +574,37 @@ mod tests {
 
     #[test]
     fn example_3_instances_are_computed() {
-        for engine in EngineKind::all() {
-            let mut cdss = example_cdss(engine);
-            load_example3(&mut cdss);
+        let mut cdss = example_cdss();
+        load_example3(&mut cdss);
 
-            // G = {(1,2,3), (3,5,2)}
-            let g = cdss.local_instance("PGUS", "G").unwrap();
-            assert_eq!(g, vec![int_tuple(&[1, 2, 3]), int_tuple(&[3, 5, 2])]);
+        // G = {(1,2,3), (3,5,2)}
+        let g = cdss.local_instance("PGUS", "G").unwrap();
+        assert_eq!(g, vec![int_tuple(&[1, 2, 3]), int_tuple(&[3, 5, 2])]);
 
-            // B = {(3,5), (3,2), (1,3), (3,3)}
-            let b = cdss.certain_answers("PBioSQL", "B").unwrap();
-            assert_eq!(
-                b,
-                vec![
-                    int_tuple(&[1, 3]),
-                    int_tuple(&[3, 2]),
-                    int_tuple(&[3, 3]),
-                    int_tuple(&[3, 5]),
-                ],
-                "engine {engine}"
-            );
+        // B = {(3,5), (3,2), (1,3), (3,3)}
+        let b = cdss.certain_answers("PBioSQL", "B").unwrap();
+        assert_eq!(
+            b,
+            vec![
+                int_tuple(&[1, 3]),
+                int_tuple(&[3, 2]),
+                int_tuple(&[3, 3]),
+                int_tuple(&[3, 5]),
+            ]
+        );
 
-            // U's certain part = {(2,5), (3,2)}; the full instance also has
-            // three labeled-null tuples from mapping m3.
-            let u_certain = cdss.certain_answers("PuBio", "U").unwrap();
-            assert_eq!(u_certain, vec![int_tuple(&[2, 5]), int_tuple(&[3, 2])]);
-            let u_all = cdss.local_instance("PuBio", "U").unwrap();
-            assert_eq!(u_all.len(), 5);
-            assert_eq!(u_all.iter().filter(|t| t.has_labeled_null()).count(), 3);
-        }
+        // U's certain part = {(2,5), (3,2)}; the full instance also has
+        // three labeled-null tuples from mapping m3.
+        let u_certain = cdss.certain_answers("PuBio", "U").unwrap();
+        assert_eq!(u_certain, vec![int_tuple(&[2, 5]), int_tuple(&[3, 2])]);
+        let u_all = cdss.local_instance("PuBio", "U").unwrap();
+        assert_eq!(u_all.len(), 5);
+        assert_eq!(u_all.iter().filter(|t| t.has_labeled_null()).count(), 3);
     }
 
     #[test]
     fn example_3_certain_answer_queries() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
 
         // ans(x, y) :- U(x, z), U(y, z) returns {(2,2), (3,3), (5,5)}:
@@ -632,7 +627,7 @@ mod tests {
 
     #[test]
     fn example_6_provenance_expressions() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
         let expr = cdss.provenance_of("B", &int_tuple(&[3, 2]));
         // Two alternative derivations: via m1 from G(3,5,2) and via m4 from
@@ -652,31 +647,29 @@ mod tests {
 
     #[test]
     fn incremental_insertion_equals_full_recomputation() {
-        for engine in EngineKind::all() {
-            // Incremental path.
-            let mut incr = example_cdss(engine);
-            load_example3(&mut incr);
-            let mut batch = BTreeMap::new();
-            batch.insert("G".to_string(), vec![int_tuple(&[7, 8, 9])]);
-            batch.insert("B".to_string(), vec![int_tuple(&[4, 8])]);
-            incr.apply_insertions_incremental(&batch).unwrap();
+        // Incremental path.
+        let mut incr = example_cdss();
+        load_example3(&mut incr);
+        let mut batch = BTreeMap::new();
+        batch.insert("G".to_string(), vec![int_tuple(&[7, 8, 9])]);
+        batch.insert("B".to_string(), vec![int_tuple(&[4, 8])]);
+        incr.apply_insertions_incremental(&batch).unwrap();
 
-            // Recomputation path over the same base data.
-            let mut full = example_cdss(engine);
-            load_example3(&mut full);
-            let mut batch2 = BTreeMap::new();
-            batch2.insert("G".to_string(), vec![int_tuple(&[7, 8, 9])]);
-            batch2.insert("B".to_string(), vec![int_tuple(&[4, 8])]);
-            full.apply_insertions_incremental(&batch2).unwrap();
-            full.recompute_all().unwrap();
+        // Recomputation path over the same base data.
+        let mut full = example_cdss();
+        load_example3(&mut full);
+        let mut batch2 = BTreeMap::new();
+        batch2.insert("G".to_string(), vec![int_tuple(&[7, 8, 9])]);
+        batch2.insert("B".to_string(), vec![int_tuple(&[4, 8])]);
+        full.apply_insertions_incremental(&batch2).unwrap();
+        full.recompute_all().unwrap();
 
-            for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
-                assert_eq!(
-                    incr.local_instance(peer, rel).unwrap(),
-                    full.local_instance(peer, rel).unwrap(),
-                    "{rel} differs under engine {engine}"
-                );
-            }
+        for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
+            assert_eq!(
+                incr.local_instance(peer, rel).unwrap(),
+                full.local_instance(peer, rel).unwrap(),
+                "{rel} differs under"
+            );
         }
     }
 
@@ -727,74 +720,63 @@ mod tests {
     fn curation_deletion_of_imported_data_cascades() {
         // Example 3's closing remark: deleting (3,2) from B removes B(3,3)
         // and U(2,c2) as well, and the rejection persists.
-        for engine in EngineKind::all() {
-            let mut cdss = example_cdss(engine);
-            load_example3(&mut cdss);
+        let mut cdss = example_cdss();
+        load_example3(&mut cdss);
 
-            cdss.delete_local("PBioSQL", "B", int_tuple(&[3, 2]))
-                .unwrap();
-            let (publish, reports) = cdss.update_exchange("PBioSQL").unwrap();
-            assert_eq!(publish.rejections_added["B"], 1);
-            assert_eq!(reports.len(), 1);
+        cdss.delete_local("PBioSQL", "B", int_tuple(&[3, 2]))
+            .unwrap();
+        let (publish, reports) = cdss.update_exchange("PBioSQL").unwrap();
+        assert_eq!(publish.rejections_added["B"], 1);
+        assert_eq!(reports.len(), 1);
 
-            let b = cdss.certain_answers("PBioSQL", "B").unwrap();
-            assert_eq!(
-                b,
-                vec![int_tuple(&[1, 3]), int_tuple(&[3, 5])],
-                "engine {engine}"
-            );
-            // U loses the labeled-null tuple derived from B(3,2) via m3 (it
-            // had 5 tuples before, see example_3_instances_are_computed).
-            let u = cdss.local_instance("PuBio", "U").unwrap();
-            assert_eq!(u.len(), 4, "engine {engine}: {u:?}");
-            // The rejection persists across later exchanges: re-running a
-            // full recomputation does not resurrect the tuple.
-            cdss.recompute_all().unwrap();
-            let b = cdss.certain_answers("PBioSQL", "B").unwrap();
-            assert_eq!(b, vec![int_tuple(&[1, 3]), int_tuple(&[3, 5])]);
-        }
+        let b = cdss.certain_answers("PBioSQL", "B").unwrap();
+        assert_eq!(b, vec![int_tuple(&[1, 3]), int_tuple(&[3, 5])]);
+        // U loses the labeled-null tuple derived from B(3,2) via m3 (it
+        // had 5 tuples before, see example_3_instances_are_computed).
+        let u = cdss.local_instance("PuBio", "U").unwrap();
+        assert_eq!(u.len(), 4, "{u:?}");
+        // The rejection persists across later exchanges: re-running a
+        // full recomputation does not resurrect the tuple.
+        cdss.recompute_all().unwrap();
+        let b = cdss.certain_answers("PBioSQL", "B").unwrap();
+        assert_eq!(b, vec![int_tuple(&[1, 3]), int_tuple(&[3, 5])]);
     }
 
     #[test]
     fn incremental_deletion_dred_and_recomputation_agree() {
-        for engine in EngineKind::all() {
-            let deletions = {
-                let mut d = BTreeMap::new();
-                d.insert("G".to_string(), vec![int_tuple(&[3, 5, 2])]);
-                d.insert("B".to_string(), vec![int_tuple(&[3, 5])]);
-                d
-            };
+        let deletions = {
+            let mut d = BTreeMap::new();
+            d.insert("G".to_string(), vec![int_tuple(&[3, 5, 2])]);
+            d.insert("B".to_string(), vec![int_tuple(&[3, 5])]);
+            d
+        };
 
-            let mut incremental = example_cdss(engine);
-            load_example3(&mut incremental);
-            incremental.apply_deletions_incremental(&deletions).unwrap();
+        let mut incremental = example_cdss();
+        load_example3(&mut incremental);
+        incremental.apply_deletions_incremental(&deletions).unwrap();
 
-            let mut dred = example_cdss(engine);
-            load_example3(&mut dred);
-            dred.apply_deletions_dred(&deletions).unwrap();
+        let mut dred = example_cdss();
+        load_example3(&mut dred);
+        dred.apply_deletions_dred(&deletions).unwrap();
 
-            let mut recomputed = example_cdss(engine);
-            load_example3(&mut recomputed);
-            // Apply the base deletions, then recompute everything.
-            recomputed.apply_deletions_incremental(&deletions).unwrap();
-            recomputed.recompute_all().unwrap();
+        let mut recomputed = example_cdss();
+        load_example3(&mut recomputed);
+        // Apply the base deletions, then recompute everything.
+        recomputed.apply_deletions_incremental(&deletions).unwrap();
+        recomputed.recompute_all().unwrap();
 
-            for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
-                let a = incremental.local_instance(peer, rel).unwrap();
-                let b = dred.local_instance(peer, rel).unwrap();
-                let c = recomputed.local_instance(peer, rel).unwrap();
-                assert_eq!(a, b, "incremental vs DRed on {rel}, engine {engine}");
-                assert_eq!(
-                    a, c,
-                    "incremental vs recomputation on {rel}, engine {engine}"
-                );
-            }
+        for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
+            let a = incremental.local_instance(peer, rel).unwrap();
+            let b = dred.local_instance(peer, rel).unwrap();
+            let c = recomputed.local_instance(peer, rel).unwrap();
+            assert_eq!(a, b, "incremental vs DRed on {rel}");
+            assert_eq!(a, c, "incremental vs recomputation on {rel}");
         }
     }
 
     #[test]
     fn retraction_of_local_contribution_propagates() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
         // Retract PGUS's G(1,2,3): B(1,3) and U(3,2) lose their only
         // derivations and disappear; everything derived from G(3,5,2) stays.
@@ -816,7 +798,7 @@ mod tests {
 
     #[test]
     fn insert_then_delete_in_same_log_is_a_noop() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         cdss.insert_local("PGUS", "G", int_tuple(&[1, 1, 1]))
             .unwrap();
         cdss.delete_local("PGUS", "G", int_tuple(&[1, 1, 1]))
@@ -831,7 +813,7 @@ mod tests {
 
     #[test]
     fn edits_validate_ownership_and_arity() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         assert!(matches!(
             cdss.insert_local("PGUS", "B", int_tuple(&[1, 2]))
                 .unwrap_err(),
@@ -853,7 +835,7 @@ mod tests {
 
     #[test]
     fn derivability_api_reflects_current_base_data() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
         assert!(cdss.is_derivable("B", &int_tuple(&[3, 2])));
         assert!(!cdss.is_derivable("B", &int_tuple(&[9, 9])));
@@ -873,7 +855,7 @@ mod tests {
 
     #[test]
     fn reports_capture_counts_and_strategies() {
-        let mut cdss = example_cdss(EngineKind::Batch);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
         let report = cdss.recompute_all().unwrap();
         assert_eq!(report.strategy, ExchangeStrategy::FullRecomputation);
@@ -895,7 +877,7 @@ mod tests {
 
     #[test]
     fn changing_trust_policy_then_recomputing_applies_it() {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         load_example3(&mut cdss);
         assert!(cdss
             .certain_answers("PBioSQL", "B")

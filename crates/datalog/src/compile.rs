@@ -6,8 +6,8 @@
 //! a constant, or because the variable was bound by an earlier literal or an
 //! earlier column of the same literal) or *free* (its value is bound by this
 //! column). The bound columns of a literal are exactly the columns a hash
-//! index should be keyed on, which is how both execution backends (§5 of the
-//! paper) choose their access paths.
+//! index should be keyed on, which is how the evaluator chooses its access
+//! paths.
 //!
 //! Rule bodies are **cost-ordered** before compilation
 //! ([`CompiledRule::compile_ordered`]): positive literals are joined
@@ -326,37 +326,6 @@ impl CompiledRule {
             reordered,
         })
     }
-
-    /// Instantiate a compiled head term under a complete binding. Bindings
-    /// hold borrowed values (the join pipeline never clones a value until a
-    /// head tuple is actually materialised here).
-    pub fn eval_head_term(term: &CompiledHeadTerm, bindings: &[Option<&Value>]) -> Value {
-        match term {
-            CompiledHeadTerm::Var(s) => bindings[*s]
-                .expect("evaluation binds all head variables")
-                .clone(),
-            CompiledHeadTerm::Const(v) => v.clone(),
-            CompiledHeadTerm::Skolem(f, args) => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| CompiledRule::eval_head_term(a, bindings))
-                    .collect();
-                Value::labeled_null(*f, vals)
-            }
-        }
-    }
-
-    /// Resolve a [`BoundSource`] under a (possibly partial) binding to a
-    /// borrowed value — no clone, the ref lives as long as the bindings'
-    /// referents (the rule's constants and the joined tuples).
-    pub fn resolve<'a>(source: &'a BoundSource, bindings: &[Option<&'a Value>]) -> &'a Value {
-        match source {
-            BoundSource::Var(s) => {
-                bindings[*s].expect("bound sources refer to already-bound slots")
-            }
-            BoundSource::Const(v) => v,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn head_skolems_evaluate_to_labeled_nulls() {
+    fn head_skolems_compile_to_skolem_terms() {
         // U(n, #f0(n)) :- B(i, n).
         let rule = Rule::positive(
             Atom::new(
@@ -457,13 +426,12 @@ mod tests {
             vec![atom("B", &["i", "n"])],
         );
         let c = CompiledRule::compile(&rule).unwrap();
-        let (b0, b1) = (Value::int(3), Value::int(2));
-        let bindings = vec![Some(&b0), Some(&b1)];
         // Slot order: i=0, n=1.
-        let v = CompiledRule::eval_head_term(&c.head[1], &bindings);
-        assert_eq!(v, Value::labeled_null(SkolemFnId(0), vec![Value::int(2)]));
-        let v0 = CompiledRule::eval_head_term(&c.head[0], &bindings);
-        assert_eq!(v0, Value::int(2));
+        assert_eq!(c.head[0], CompiledHeadTerm::Var(1));
+        assert_eq!(
+            c.head[1],
+            CompiledHeadTerm::Skolem(SkolemFnId(0), vec![CompiledHeadTerm::Var(1)])
+        );
     }
 
     #[test]

@@ -17,12 +17,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use orchestra_storage::{Database, Tuple};
+use orchestra_storage::{Database, Relation, RelationSchema, Tuple, TupleId};
 
 use crate::atom::{Atom, Literal};
-use crate::compile::CompiledRule;
-use crate::engine::EngineKind;
-use crate::eval::{cardinality_estimator, eval_rule};
+use crate::error::DatalogError;
+use crate::eval::{eval_rule_once, DeltaRows};
 use crate::program::Program;
 use crate::rule::Rule;
 use crate::stats::EvalStats;
@@ -103,50 +102,59 @@ pub fn insertion_delta_program(program: &Program) -> Program {
 /// positive body occurrence whose relation has entries in `deleted`, find the
 /// head tuples of instantiations that used a deleted tuple.
 ///
-/// `db` must still contain the deleted tuples (the delta rules are evaluated
-/// against the *pre-deletion* state, paper Figure 3 line 4). The result maps
-/// head relations to the set of candidate tuples whose derivations are
-/// affected; whether they must actually be deleted is decided by the caller
-/// (they may have other derivations).
+/// The rest of each rule body is evaluated against the *pre-deletion* state
+/// (paper Figure 3 line 4), so derived relations must not have been pruned
+/// yet. The deleted tuples themselves need not be stored any more (DRed
+/// retracts base tuples before asking): each deleted set is interned and
+/// staged in a scratch relation outside `db`, and the delta occurrence
+/// ranges over that. The result maps head relations to the set of candidate
+/// tuples whose derivations are affected; whether they must actually be
+/// deleted is decided by the caller (they may have other derivations).
 pub fn deletion_candidates(
     program: &Program,
     db: &mut Database,
     deleted: &HashMap<String, HashSet<Tuple>>,
-    kind: EngineKind,
 ) -> Result<HashMap<String, HashSet<Tuple>>> {
     let mut stats = EvalStats::new();
     let mut out: HashMap<String, HashSet<Tuple>> = HashMap::new();
+    let mut staged: HashMap<&str, (Relation, Vec<TupleId>)> = HashMap::new();
 
     for rule in program.rules() {
         for (body_index, lit) in rule.body.iter().enumerate() {
             if lit.negated {
                 continue;
             }
-            let Some(del) = deleted.get(lit.relation()) else {
+            let Some((name, del)) = deleted.get_key_value(lit.relation()) else {
                 continue;
             };
             if del.is_empty() {
                 continue;
             }
-            // Compile a delta-first plan: the deleted tuples lead the join.
-            let c = {
-                let estimate = cardinality_estimator(db);
-                CompiledRule::compile_ordered(rule, &estimate, Some(body_index))?
+            if !staged.contains_key(name.as_str()) {
+                let arity = db
+                    .relation(name)
+                    .map_err(|_| DatalogError::MissingRelation(name.clone()))?
+                    .schema()
+                    .arity();
+                let mut rel = Relation::new(RelationSchema::anonymous(name.clone(), arity));
+                let mut ids = Vec::with_capacity(del.len());
+                for t in del {
+                    ids.push(rel.insert_full(db.pool_mut(), t.clone())?.0);
+                }
+                staged.insert(name, (rel, ids));
+            }
+            let (rel, ids) = &staged[name.as_str()];
+            // The deleted tuples lead the join. Candidates *are*
+            // currently-present tuples, so nothing is deduplicated against
+            // the head relation.
+            let delta = DeltaRows {
+                body_index,
+                rel,
+                ids,
             };
-            let del_vec: Vec<Tuple> = del.iter().cloned().collect();
-            let produced = eval_rule(
-                kind,
-                &c,
-                db,
-                Some((body_index, &del_vec)),
-                None,
-                &mut stats,
-                // Deletion candidates *are* currently-present tuples: the
-                // dedup-against-head shortcut would discard everything.
-                false,
-            )?;
+            let produced = eval_rule_once(rule, db, Some(delta), None, &mut stats)?;
             if !produced.is_empty() {
-                out.entry(c.head_relation.clone())
+                out.entry(rule.head.relation.clone())
                     .or_default()
                     .extend(produced);
             }
@@ -206,7 +214,7 @@ mod tests {
 
         // Native propagation.
         let mut native = edge_db(&base_edges);
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         eval.run(&tc_program(), &mut native).unwrap();
         let mut deltas = HashMap::new();
         deltas.insert("edge".to_string(), vec![new_edge.clone()]);
@@ -215,7 +223,7 @@ mod tests {
 
         // Explicit delta program: seed edge__ins and run the combined program.
         let mut explicit = edge_db(&base_edges);
-        let mut eval2 = Evaluator::new(EngineKind::Pipelined);
+        let mut eval2 = Evaluator::new();
         eval2.run(&tc_program(), &mut explicit).unwrap();
         explicit.insert("edge", new_edge.clone()).unwrap();
         explicit
@@ -235,9 +243,7 @@ mod tests {
     #[test]
     fn deletion_candidates_find_immediate_consequents() {
         let mut db = edge_db(&[(1, 2), (2, 3), (3, 4)]);
-        Evaluator::new(EngineKind::Pipelined)
-            .run(&tc_program(), &mut db)
-            .unwrap();
+        Evaluator::new().run(&tc_program(), &mut db).unwrap();
 
         // Delete edge (2,3): candidates are every path tuple derived using it.
         let mut deleted = HashMap::new();
@@ -245,8 +251,7 @@ mod tests {
             "edge".to_string(),
             vec![int_tuple(&[2, 3])].into_iter().collect::<HashSet<_>>(),
         );
-        let cands =
-            deletion_candidates(&tc_program(), &mut db, &deleted, EngineKind::Pipelined).unwrap();
+        let cands = deletion_candidates(&tc_program(), &mut db, &deleted).unwrap();
         let paths = &cands["path"];
         assert!(paths.contains(&int_tuple(&[2, 3])));
         assert!(paths.contains(&int_tuple(&[1, 3])));
@@ -257,11 +262,8 @@ mod tests {
     #[test]
     fn deletion_candidates_empty_when_nothing_deleted() {
         let mut db = edge_db(&[(1, 2)]);
-        Evaluator::new(EngineKind::Batch)
-            .run(&tc_program(), &mut db)
-            .unwrap();
-        let cands = deletion_candidates(&tc_program(), &mut db, &HashMap::new(), EngineKind::Batch)
-            .unwrap();
+        Evaluator::new().run(&tc_program(), &mut db).unwrap();
+        let cands = deletion_candidates(&tc_program(), &mut db, &HashMap::new()).unwrap();
         assert!(cands.is_empty());
     }
 }

@@ -1,17 +1,22 @@
 //! Fixpoint evaluation of datalog programs over a [`Database`].
 //!
 //! The evaluator implements the recursive datalog-with-Skolems semantics of
-//! paper §4.1.1: per-stratum semi-naive fixpoint computation, with the two
-//! execution backends of §5 (see [`EngineKind`]). It also implements the
-//! *insertion* half of incremental update exchange (§4.2): externally
-//! supplied base-tuple deltas are pushed through the program's delta rules
-//! until fixpoint, optionally filtered tuple-by-tuple by a trust predicate.
+//! paper §4.1.1: per-stratum semi-naive fixpoint computation over prepared
+//! join plans probing persistent indexes on the stored relations. It also
+//! implements the *insertion* half of incremental update exchange (§4.2):
+//! externally supplied base-tuple deltas are pushed through the program's
+//! delta rules until fixpoint, optionally filtered tuple-by-tuple by a trust
+//! predicate.
 //!
 //! ## The interned join pipeline
 //!
-//! The semi-naive fixpoint and insertion-propagation paths run entirely in
-//! **id currency** ([`ValueId`]s from the database's intern pool and
-//! [`TupleId`]s from the relations' slabs):
+//! There is exactly one join implementation ([`join_literal_ids`]), and it
+//! runs entirely in **id currency** ([`ValueId`]s from the database's
+//! intern pool and [`TupleId`]s from the relations' slabs). The semi-naive
+//! fixpoint, insertion propagation, the naive oracle
+//! ([`Evaluator::run_naive`]), ad-hoc single-rule evaluation
+//! ([`Evaluator::evaluate_rule`]) and the deletion delta rules
+//! ([`crate::delta::deletion_candidates`]) all go through it:
 //!
 //! * candidate rows are `&[ValueId]` slices borrowed from the relation's
 //!   row arena (index probes, scans, and delta sets all resolve through
@@ -29,10 +34,10 @@
 //! evaluations** in a [`PlanCache`] (the `Cdss` keeps one per database),
 //! invalidated when relation cardinality bands shift.
 //!
-//! A value-based pipeline (borrowed `&Tuple`/`&Value`, as in PR 3) remains
-//! for the naive oracle ([`Evaluator::run_naive`]) and ad-hoc single-rule
-//! evaluation ([`Evaluator::evaluate_rule`]), whose delta slices may carry
-//! tuples that are not stored (and so not interned) anywhere.
+//! A delta occurrence ranges over tuple ids of *some* relation
+//! ([`DeltaRows`]): the stored relation itself between semi-naive rounds, or
+//! a scratch relation a caller staged its tuples into (deletion frontiers
+//! need not be stored — or even interned — anywhere before the call).
 
 use std::collections::HashMap;
 
@@ -41,10 +46,9 @@ use orchestra_storage::{
     ValuePool,
 };
 
-use crate::compile::{CompiledHeadTerm, CompiledPositive, CompiledRule};
-use crate::engine::EngineKind;
+use crate::compile::{CompiledHeadTerm, CompiledRule};
 use crate::error::DatalogError;
-use crate::plan::{CompiledPlan, PlanCache, PreparedProgram, TempIndexes, TEMP_PROMOTE_AFTER};
+use crate::plan::{CompiledPlan, PlanCache, PreparedProgram};
 use crate::program::Program;
 use crate::stats::EvalStats;
 use crate::Result;
@@ -109,8 +113,7 @@ pub fn bound_scan(db: &Database, relation: &str, binding: &[Option<Value>]) -> R
     Ok(out)
 }
 
-/// The datalog evaluator. Holds the configured execution backend and
-/// accumulates [`EvalStats`] across calls.
+/// The datalog evaluator. Accumulates [`EvalStats`] across calls.
 ///
 /// ## Parallel fixpoint
 ///
@@ -130,38 +133,35 @@ pub fn bound_scan(db: &Database, relation: &str, binding: &[Option<Value>]) -> R
 /// boundaries fall.
 #[derive(Debug)]
 pub struct Evaluator {
-    kind: EngineKind,
     pool: Option<orchestra_pool::Pool>,
     stats: EvalStats,
 }
 
+impl Default for Evaluator {
+    fn default() -> Self {
+        Evaluator::new()
+    }
+}
+
 impl Evaluator {
-    /// Create an evaluator using the given execution backend, evaluating on
-    /// the process-global thread pool when it has more than one thread
-    /// (`ORCHESTRA_THREADS` / [`orchestra_pool::configure_global`]).
-    pub fn new(kind: EngineKind) -> Self {
-        let global = orchestra_pool::global();
-        let pool = (global.threads() > 1).then(|| global.clone());
-        Evaluator {
-            kind,
-            pool,
-            stats: EvalStats::new(),
-        }
+    /// Create an evaluator running on the process-global thread pool when
+    /// it has more than one thread (`ORCHESTRA_THREADS` /
+    /// [`orchestra_pool::configure_global`]).
+    pub fn new() -> Self {
+        Evaluator::with_pool(orchestra_pool::global().clone())
     }
 
     /// Create a single-threaded evaluator regardless of the global pool.
-    pub fn sequential(kind: EngineKind) -> Self {
+    pub fn sequential() -> Self {
         Evaluator {
-            kind,
             pool: None,
             stats: EvalStats::new(),
         }
     }
 
     /// Create an evaluator running fixpoint rounds on the given pool.
-    pub fn with_pool(kind: EngineKind, pool: orchestra_pool::Pool) -> Self {
+    pub fn with_pool(pool: orchestra_pool::Pool) -> Self {
         Evaluator {
-            kind,
             pool: (pool.threads() > 1).then_some(pool),
             stats: EvalStats::new(),
         }
@@ -170,11 +170,6 @@ impl Evaluator {
     /// The number of threads fixpoint rounds run on (1 = inline).
     pub fn threads(&self) -> usize {
         self.pool.as_ref().map_or(1, orchestra_pool::Pool::threads)
-    }
-
-    /// The configured backend.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
     }
 
     /// Statistics accumulated so far.
@@ -335,8 +330,8 @@ impl Evaluator {
         let (entry, entry_hit) = cache.magic_entry(program, predicate, &adornment)?;
         let crate::plan::MagicEntry { rewrite, plans } = entry;
         // Create-or-clear the scratch cone. Clearing (rather than
-        // dropping) keeps relation content versions monotone, so the
-        // nested cache's throwaway-index stamps stay sound across queries.
+        // dropping) keeps the scratch relations' index definitions, so
+        // repeated queries of one shape do not re-create them.
         for (name, arity) in &rewrite.scratch_relations {
             db.create_relation_if_absent(RelationSchema::anonymous(name.clone(), *arity))
                 .clear();
@@ -368,16 +363,21 @@ impl Evaluator {
     }
 
     /// Naive (non-semi-naive) evaluation: repeatedly apply every rule of each
-    /// stratum until nothing changes. Exponentially redundant but trivially
-    /// correct; used as a differential-testing oracle for the semi-naive
-    /// engine. Runs on the value-based pipeline.
+    /// stratum, in written body order, until nothing changes. Exponentially
+    /// redundant but trivially correct; used as a differential-testing
+    /// oracle for the semi-naive engine. Always sequential.
     pub fn run_naive(&mut self, program: &Program, db: &mut Database) -> Result<EvalStats> {
         program.validate()?;
         let strat = program.stratify()?;
         self.prepare_relations(program, db)?;
-        let compiled = compile_all(program)?;
+        let plans: Vec<CompiledPlan> = program
+            .rules()
+            .iter()
+            .map(|r| Ok(CompiledPlan::new(CompiledRule::compile(r)?, db.pool_mut())))
+            .collect::<Result<_>>()?;
 
         let mut total = EvalStats::new();
+        let mut sc = EvalScratch::default();
         for stratum_rules in &strat.rule_strata {
             if stratum_rules.is_empty() {
                 continue;
@@ -386,18 +386,15 @@ impl Evaluator {
                 let mut changed = false;
                 let mut stats = EvalStats::new();
                 for &ri in stratum_rules {
-                    let c = &compiled[ri];
-                    let produced = eval_rule(self.kind, c, db, None, None, &mut stats, true)?;
+                    let plan = &plans[ri];
+                    prepare_rule_access(plan, db, None)?;
+                    let produced =
+                        eval_rule_ids_prepared(plan, db, None, None, &mut stats, &mut sc, true)?;
                     if produced.is_empty() {
                         continue;
                     }
-                    let (rel, pool) = db.relation_and_pool_mut(&c.head_relation)?;
-                    for t in produced {
-                        if rel.insert(pool, t)? {
-                            stats.tuples_inserted += 1;
-                            changed = true;
-                        }
-                    }
+                    let outs = vec![(plan.rule.head_relation.as_str(), produced)];
+                    changed |= !merge_round_outputs(db, outs, &mut stats, None)?.is_empty();
                 }
                 stats.iterations = 1;
                 total += stats;
@@ -430,13 +427,11 @@ impl Evaluator {
         // decomposes into independent tasks at any worker count.
         let mut tasks: Vec<RoundTask<'_>> = Vec::with_capacity(stratum_rules.len());
         for &ri in stratum_rules {
-            let (plan, temp) = cache.base(program, ri, db.pool_mut())?;
-            prepare_rule_access(self.kind, plan, db, None, &mut stats, temp)?;
+            let plan = cache.base(program, ri, db.pool_mut())?;
+            prepare_rule_access(plan, db, None)?;
             tasks.push(RoundTask { ri, delta: None });
         }
-        let mut delta = run_round(
-            self.kind, pool, cache, db, tasks, filter, &mut stats, &stash,
-        )?;
+        let mut delta = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
         stats.iterations += 1;
 
         // Subsequent rounds: only evaluate rule occurrences that can consume
@@ -454,19 +449,17 @@ impl Evaluator {
                     if d.is_empty() {
                         continue;
                     }
-                    let (plan, temp) = cache.delta(program, ri, *body_index, db.pool_mut())?;
-                    prepare_rule_access(self.kind, plan, db, Some(*body_index), &mut stats, temp)?;
+                    let plan = cache.delta(program, ri, *body_index, db.pool_mut())?;
+                    prepare_rule_access(plan, db, Some(*body_index))?;
                     for chunk in delta_chunks(d, pool) {
                         tasks.push(RoundTask {
                             ri,
-                            delta: Some((*body_index, chunk)),
+                            delta: Some((*body_index, relation, chunk)),
                         });
                     }
                 }
             }
-            let next = run_round(
-                self.kind, pool, cache, db, tasks, filter, &mut stats, &stash,
-            )?;
+            let next = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
             stats.iterations += 1;
             delta = next;
         }
@@ -568,19 +561,17 @@ impl Evaluator {
                     if d.is_empty() {
                         continue;
                     }
-                    let (plan, temp) = cache.delta(program, ri, *body_index, db.pool_mut())?;
-                    prepare_rule_access(self.kind, plan, db, Some(*body_index), &mut stats, temp)?;
+                    let plan = cache.delta(program, ri, *body_index, db.pool_mut())?;
+                    prepare_rule_access(plan, db, Some(*body_index))?;
                     for chunk in delta_chunks(d, pool) {
                         tasks.push(RoundTask {
                             ri,
-                            delta: Some((*body_index, chunk)),
+                            delta: Some((*body_index, relation, chunk)),
                         });
                     }
                 }
             }
-            let next = run_round(
-                self.kind, pool, cache, db, tasks, filter, &mut stats, &stash,
-            )?;
+            let next = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
             for (head, fresh) in &next {
                 all_new
                     .entry(head.clone())
@@ -614,39 +605,44 @@ impl Evaluator {
     }
 
     /// Evaluate a single rule against the database (without inserting its
-    /// results), optionally constraining one body occurrence to a supplied
-    /// set of tuples. This is the building block the CDSS layer uses for
-    /// deletion delta rules and derivability tests. Runs on the value-based
-    /// pipeline, because the supplied delta tuples need not be stored (or
-    /// interned) anywhere.
+    /// results): every head instantiation over the current contents, in
+    /// join order, duplicates included. This is the building block the CDSS
+    /// layer uses for ad-hoc queries and DRed re-derivation.
     pub fn evaluate_rule(
         &mut self,
         rule: &crate::rule::Rule,
         db: &mut Database,
-        delta_at: Option<(usize, &[Tuple])>,
         filter: Option<&DerivationFilter<'_>>,
     ) -> Result<Vec<Tuple>> {
-        let c = {
-            let estimate = cardinality_estimator(db);
-            CompiledRule::compile_ordered(rule, &estimate, delta_at.map(|(bi, _)| bi))?
-        };
         let mut stats = EvalStats::new();
-        let out = eval_rule(self.kind, &c, db, delta_at, filter, &mut stats, false)?;
+        let out = eval_rule_once(rule, db, None, filter, &mut stats)?;
         self.stats += stats;
         Ok(out)
     }
 }
 
-/// A cardinality estimator backed by the database's current relation sizes
-/// (unknown relations estimate to 0 — they will be created empty).
-pub(crate) fn cardinality_estimator(db: &Database) -> impl Fn(&str) -> usize + '_ {
-    |name: &str| db.relation(name).map(Relation::len).unwrap_or(0)
-}
-
-/// Compile every rule of a program in written body order (the reference
-/// plan; used by the naive oracle strategy).
-pub(crate) fn compile_all(program: &Program) -> Result<Vec<CompiledRule>> {
-    program.rules().iter().map(CompiledRule::compile).collect()
+/// Compile `rule` against the database's current cardinalities and evaluate
+/// it once, returning every head instantiation (previously derived tuples
+/// included — nothing is inserted or deduplicated). `delta` optionally
+/// restricts one body occurrence to the given rows; that occurrence leads
+/// the join.
+pub(crate) fn eval_rule_once(
+    rule: &crate::rule::Rule,
+    db: &mut Database,
+    delta: Option<DeltaRows<'_>>,
+    filter: Option<&DerivationFilter<'_>>,
+    stats: &mut EvalStats,
+) -> Result<Vec<Tuple>> {
+    let delta_body = delta.map(|d| d.body_index);
+    let compiled = {
+        let estimate = |name: &str| db.relation(name).map(Relation::len).unwrap_or(0);
+        CompiledRule::compile_ordered(rule, &estimate, delta_body)?
+    };
+    let plan = CompiledPlan::new(compiled, db.pool_mut());
+    prepare_rule_access(&plan, db, delta_body)?;
+    let mut sc = EvalScratch::default();
+    let produced = eval_rule_ids_prepared(&plan, db, delta, filter, stats, &mut sc, false)?;
+    Ok(produced.into_tuples(db.pool()))
 }
 
 // ---------------------------------------------------------------------
@@ -680,6 +676,37 @@ impl ProducedRows {
             ProducedRows::Tuples(ts) => ts.len(),
         }
     }
+
+    /// Materialise the rows as tuples, in production order (callers that
+    /// return derivations instead of inserting them).
+    fn into_tuples(self, pool: &ValuePool) -> Vec<Tuple> {
+        match self {
+            ProducedRows::Rows { arity, ids, hashes } => hashes
+                .iter()
+                .enumerate()
+                .map(|(i, &hash)| {
+                    let row = &ids[i * arity..(i + 1) * arity];
+                    let values = row.iter().map(|&id| pool.value(id).clone()).collect();
+                    Tuple::from_prehashed(values, hash)
+                })
+                .collect(),
+            ProducedRows::Tuples(ts) => ts,
+        }
+    }
+}
+
+/// The rows a delta occurrence ranges over: tuple ids of `rel` — the stored
+/// relation itself between semi-naive rounds, or a scratch relation the
+/// caller staged (and thereby interned) unstored tuples into. The ids must
+/// be live.
+#[derive(Clone, Copy)]
+pub(crate) struct DeltaRows<'a> {
+    /// Body index of the occurrence the rows substitute for.
+    pub body_index: usize,
+    /// The relation the ids address.
+    pub rel: &'a Relation,
+    /// The delta's tuple ids.
+    pub ids: &'a [TupleId],
 }
 
 /// One unit of fixpoint-round work: a rule (base plan) or one chunk of a
@@ -688,8 +715,9 @@ impl ProducedRows {
 /// in `Vec` order.
 struct RoundTask<'d> {
     ri: usize,
-    /// `(body_index, delta chunk)`; `None` evaluates the base plan.
-    delta: Option<(usize, &'d [TupleId])>,
+    /// `(body_index, occurrence relation, delta chunk)`; `None` evaluates
+    /// the base plan.
+    delta: Option<(usize, &'d str, &'d [TupleId])>,
 }
 
 /// Shared pool of [`EvalScratch`] buffers: each worker pops one for the
@@ -742,9 +770,7 @@ fn delta_chunks<'d>(
 /// ([`PlanCache::base`] / [`PlanCache::delta`]) and its access paths
 /// prepared ([`prepare_rule_access`]) before the call: workers share the
 /// database and plan cache read-only.
-#[allow(clippy::too_many_arguments)]
 fn run_round(
-    kind: EngineKind,
     pool: Option<&orchestra_pool::Pool>,
     cache: &PlanCache,
     db: &mut Database,
@@ -759,26 +785,23 @@ fn run_round(
     let parallel = pool.is_some_and(|p| p.threads() > 1) && tasks.len() > 1;
     let results: Vec<Result<(ProducedRows, EvalStats)>> = {
         let db_ref: &Database = db;
-        let temp = cache.temp_ref();
         let eval_task = |t: &RoundTask<'_>| -> Result<(ProducedRows, EvalStats)> {
             let mut task_stats = EvalStats::new();
-            let mut sc = stash.pop();
-            let plan = match t.delta {
-                Some((bi, _)) => cache.delta_ref(t.ri, bi),
-                None => cache.base_ref(t.ri),
+            let (plan, delta) = match t.delta {
+                Some((body_index, relation, ids)) => (
+                    cache.delta_ref(t.ri, body_index),
+                    Some(DeltaRows {
+                        body_index,
+                        rel: db_ref.relation(relation)?,
+                        ids,
+                    }),
+                ),
+                None => (cache.base_ref(t.ri), None),
             };
+            let mut sc = stash.pop();
             let started = std::time::Instant::now();
-            let produced = eval_rule_ids_prepared(
-                kind,
-                plan,
-                db_ref,
-                temp,
-                t.delta,
-                filter,
-                &mut task_stats,
-                &mut sc,
-                true,
-            );
+            let produced =
+                eval_rule_ids_prepared(plan, db_ref, delta, filter, &mut task_stats, &mut sc, true);
             orchestra_obs::histogram("eval_parallel_chunk_seconds").observe(started.elapsed());
             stash.push(sc);
             produced.map(|p| (p, task_stats))
@@ -808,7 +831,7 @@ fn run_round(
             continue;
         }
         let head: &str = match t.delta {
-            Some((bi, _)) => &cache.delta_ref(t.ri, bi).rule.head_relation,
+            Some((bi, _, _)) => &cache.delta_ref(t.ri, bi).rule.head_relation,
             None => &cache.base_ref(t.ri).rule.head_relation,
         };
         outs.push((head, produced));
@@ -1010,15 +1033,7 @@ enum AccessIds<'a> {
         /// Hash index over the bound columns.
         index: HashIndex,
     },
-    /// Probe a throwaway index from the per-evaluation cache (batch
-    /// backend).
-    TempIndex {
-        /// The relation the index's ids address.
-        rel: &'a Relation,
-        /// The cached index over the bound columns.
-        index: &'a HashIndex,
-    },
-    /// Probe a persistent index stored on the relation (pipelined backend).
+    /// Probe a persistent index stored on the relation.
     Persistent {
         /// The indexed relation.
         rel: &'a Relation,
@@ -1055,10 +1070,6 @@ impl<'a, 'b> RowCandidates<'a, 'b> {
                 ids: ids.iter(),
             },
             AccessIds::DeltaIndex { rel, index } => RowCandidates::Ids {
-                rel,
-                ids: index.probe_row(key, pool).iter(),
-            },
-            AccessIds::TempIndex { rel, index } => RowCandidates::Ids {
                 rel,
                 ids: index.probe_row(key, pool).iter(),
             },
@@ -1135,30 +1146,20 @@ fn eval_head_term_pooled(term: &CompiledHeadTerm, bindings: &[ValueId], pool: &V
 }
 
 /// The mutable half of a rule application: validate the plan's relations
-/// and build/refresh whatever indexes its access paths will want, so
-/// [`eval_rule_ids_prepared`] can run against `&Database` (and so fan out
-/// across threads). Must be called — sequentially — for every plan of a
-/// round before the round's tasks run; relations do not change between the
-/// two (inserts happen only at the round's merge).
+/// and make sure the persistent index behind every probing access path
+/// exists, so [`eval_rule_ids_prepared`] can run against `&Database` (and so
+/// fan out across threads). Must be called — sequentially — for every plan
+/// of a round before the round's tasks run; relations do not change between
+/// the two (inserts happen only at the round's merge).
 ///
 /// `delta_body` names the body occurrence a delta will be supplied for, if
 /// any; that occurrence needs no stored-relation index.
 fn prepare_rule_access(
-    kind: EngineKind,
     plan: &CompiledPlan,
     db: &mut Database,
     delta_body: Option<usize>,
-    stats: &mut EvalStats,
-    temp: &mut TempIndexes,
 ) -> Result<()> {
-    let c = &plan.rule;
-
-    // Phase 1 (mutable): validate relations and make sure persistent
-    // indexes exist — always for the pipelined backend; for the batch
-    // backend only where a throwaway index has been rebuilt often enough
-    // to be promoted to incremental maintenance. This is the only phase
-    // that may mutate the database.
-    for pos in &c.positives {
+    for pos in &plan.rule.positives {
         if !db.has_relation(&pos.relation) {
             return Err(DatalogError::MissingRelation(pos.relation.clone()));
         }
@@ -1166,55 +1167,8 @@ fn prepare_rule_access(
             continue;
         }
         let bound_cols = pos.bound_columns();
-        if bound_cols.is_empty() {
-            continue;
-        }
-        // The builds map is bounded by the program's distinct access paths,
-        // so a scan beats allocating a lookup key per rule application.
-        let promote = kind == EngineKind::Pipelined
-            || temp.builds.iter().any(|((r, c), &n)| {
-                n >= TEMP_PROMOTE_AFTER && r == &pos.relation && *c == bound_cols
-            });
-        if promote {
+        if !bound_cols.is_empty() {
             db.relation_mut(&pos.relation)?.ensure_index(&bound_cols)?;
-        }
-    }
-
-    // Phase 2a: the batch backend refreshes its throwaway indexes (reused
-    // across evaluations while the relation's length is unchanged) for
-    // access paths not covered by a persistent index.
-    if kind == EngineKind::Batch {
-        let db_ref: &Database = db;
-        let pool = db_ref.pool();
-        for pos in &c.positives {
-            if delta_body == Some(pos.body_index) {
-                continue;
-            }
-            let bound_cols = pos.bound_columns();
-            if bound_cols.is_empty() {
-                continue;
-            }
-            let rel = db_ref.relation(&pos.relation)?;
-            if rel.index(&bound_cols).is_some() {
-                continue;
-            }
-            let current = temp
-                .built
-                .iter()
-                .find(|((r, c), _)| r == &pos.relation && *c == bound_cols)
-                .map(|(_, (version, _))| *version);
-            if current != Some(rel.version()) {
-                let index = HashIndex::build_from_rows(
-                    bound_cols.clone(),
-                    rel.len(),
-                    rel.iter_rows(),
-                    pool,
-                );
-                stats.temp_indexes_built += 1;
-                let key = (pos.relation.clone(), bound_cols);
-                *temp.builds.entry(key.clone()).or_insert(0) += 1;
-                temp.built.insert(key, (rel.version(), index));
-            }
         }
     }
     Ok(())
@@ -1222,25 +1176,21 @@ fn prepare_rule_access(
 
 /// Evaluate one compiled plan on the interned pipeline and return the head
 /// rows it produces. The read-only half of a rule application: the caller
-/// ran [`prepare_rule_access`] for this plan first, so the database and the
-/// throwaway-index state are shared immutably (workers of a parallel round
-/// all borrow the same ones).
+/// ran [`prepare_rule_access`] for this plan first, so the database is
+/// shared immutably (workers of a parallel round all borrow the same one).
 ///
-/// `delta_at` optionally restricts the body occurrence with the given
-/// body index to the supplied tuple ids of that occurrence's relation
-/// (semi-naive evaluation / insertion delta rules). The ids must be live.
+/// `delta` optionally restricts one body occurrence to the supplied rows
+/// (semi-naive evaluation / insertion and deletion delta rules).
 ///
 /// With `skip_existing`, head instantiations already present in the head
 /// relation are dropped inside the join (before any allocation) — correct
 /// only for monotone insertion paths, where the caller would discard them
-/// as duplicates anyway.
-#[allow(clippy::too_many_arguments)]
+/// as duplicates anyway; deletion delta rules and ad-hoc rule evaluation
+/// must pass `false` because they expect previously derived tuples back.
 fn eval_rule_ids_prepared(
-    kind: EngineKind,
     plan: &CompiledPlan,
     db_ref: &Database,
-    temp_ref: &TempIndexes,
-    delta_at: Option<(usize, &[TupleId])>,
+    delta: Option<DeltaRows<'_>>,
     filter: Option<&DerivationFilter<'_>>,
     stats: &mut EvalStats,
     sc: &mut EvalScratch,
@@ -1252,8 +1202,8 @@ fn eval_rule_ids_prepared(
     }
     let c = &plan.rule;
 
-    // Phase 2b (immutable): pick a borrowed access path per positive
-    // literal and pre-resolve the negated literals' relations.
+    // Pick a borrowed access path per positive literal and pre-resolve the
+    // negated literals' relations.
     let pool = db_ref.pool();
     let mut neg_rels: Vec<&Relation> = Vec::with_capacity(c.negatives.len());
     for neg in &c.negatives {
@@ -1261,11 +1211,9 @@ fn eval_rule_ids_prepared(
     }
     let mut accesses: Vec<AccessIds<'_>> = Vec::with_capacity(c.positives.len());
     for pos in &c.positives {
-        let rel = db_ref.relation(&pos.relation)?;
-        let is_delta = matches!(delta_at, Some((bi, _)) if bi == pos.body_index);
         let bound_cols = pos.bound_columns();
-        if is_delta {
-            let (_, ids) = delta_at.unwrap();
+        if let Some(d) = delta.filter(|d| d.body_index == pos.body_index) {
+            let (rel, ids) = (d.rel, d.ids);
             if !bound_cols.is_empty() && ids.len() >= DELTA_INDEX_MIN {
                 let index = HashIndex::build_from_rows(
                     bound_cols,
@@ -1280,43 +1228,21 @@ fn eval_rule_ids_prepared(
             }
             continue;
         }
-        if bound_cols.is_empty() {
-            accesses.push(AccessIds::FullScan(rel));
-            continue;
-        }
-        match kind {
-            EngineKind::Batch => {
-                if let Some(index) = rel.index(&bound_cols) {
-                    // Promoted: maintained on the relation itself.
-                    accesses.push(AccessIds::Persistent { rel, index });
-                } else {
-                    // Built in phase 2a (prepare_rule_access); if the cached
-                    // build is stale or absent — unreachable when the
-                    // prepare contract held — degrade to a scan rather than
-                    // assume.
-                    let index = temp_ref
-                        .built
-                        .iter()
-                        .find(|((r, c), _)| r == &pos.relation && *c == bound_cols)
-                        .and_then(|(_, (version, index))| {
-                            (*version == rel.version()).then_some(index)
-                        });
-                    match index {
-                        Some(index) => accesses.push(AccessIds::TempIndex { rel, index }),
-                        None => accesses.push(AccessIds::FullScan(rel)),
-                    }
-                }
-            }
-            EngineKind::Pipelined => match rel.index(&bound_cols) {
-                Some(index) => accesses.push(AccessIds::Persistent { rel, index }),
-                // Unreachable after phase 1, but degrade to a scan rather
-                // than assume.
-                None => accesses.push(AccessIds::FullScan(rel)),
-            },
-        }
+        let rel = db_ref.relation(&pos.relation)?;
+        let index = if bound_cols.is_empty() {
+            None
+        } else {
+            rel.index(&bound_cols)
+        };
+        accesses.push(match index {
+            Some(index) => AccessIds::Persistent { rel, index },
+            // Nothing to probe on — or, unreachable after
+            // `prepare_rule_access`, no index: scan.
+            None => AccessIds::FullScan(rel),
+        });
     }
 
-    // Phase 3: interned nested-loop join over the chosen access paths.
+    // Interned nested-loop join over the chosen access paths.
     let head_rel = if skip_existing {
         Some(db_ref.relation(&c.head_relation)?)
     } else {
@@ -1473,333 +1399,6 @@ fn join_literal_ids<'a>(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// The value-based pipeline (naive oracle, ad-hoc rule evaluation).
-// ---------------------------------------------------------------------
-
-/// How a positive literal accesses its relation during the value join. All
-/// variants yield **borrowed** candidate tuples; nothing is copied.
-enum Access<'a> {
-    /// Linear scan of an externally supplied delta slice.
-    DeltaScan(&'a [Tuple]),
-    /// Probe a throwaway index over a delta slice (built when the delta is
-    /// large enough to amortise hashing); ids are offsets into the slice.
-    DeltaIndex {
-        /// The delta slice the index's ids address.
-        tuples: &'a [Tuple],
-        /// Hash index over the bound columns.
-        index: HashIndex,
-    },
-    /// Probe a throwaway index over the stored relation (batch backend).
-    TempIndex {
-        /// The relation the index's ids address.
-        rel: &'a Relation,
-        /// Hash index over the bound columns.
-        index: HashIndex,
-    },
-    /// Probe a persistent index stored on the relation (pipelined backend).
-    Persistent {
-        /// The indexed relation.
-        rel: &'a Relation,
-        /// The relation-owned index over the bound columns.
-        index: &'a HashIndex,
-    },
-    /// Scan the stored relation.
-    FullScan(&'a Relation),
-}
-
-/// Where an id-addressed candidate set resolves its ids.
-#[derive(Clone, Copy)]
-enum IdSource<'a> {
-    /// Offsets into a delta slice.
-    Slice(&'a [Tuple]),
-    /// Slab ids of a stored relation.
-    Rel(&'a Relation),
-}
-
-impl<'a> IdSource<'a> {
-    #[inline]
-    fn get(&self, id: TupleId) -> &'a Tuple {
-        match self {
-            IdSource::Slice(ts) => &ts[id.index()],
-            IdSource::Rel(rel) => rel.tuple_by_id(id),
-        }
-    }
-}
-
-/// Borrowed candidate stream for one join level. `'a` is the data lifetime
-/// (database / delta / compiled rule), `'b` the (shorter) borrow of the
-/// access-path list the probed id buckets live in.
-enum Candidates<'a, 'b> {
-    Slice(std::slice::Iter<'a, Tuple>),
-    Ids {
-        src: IdSource<'a>,
-        ids: std::slice::Iter<'b, TupleId>,
-    },
-    Scan(orchestra_storage::TupleIter<'a>),
-}
-
-impl<'a, 'b> Candidates<'a, 'b> {
-    /// Probe / open the access path for one key. The key is only used for
-    /// the probe; the returned stream does not retain it.
-    fn open(access: &'b Access<'a>, key: &[&Value], stats: &mut EvalStats) -> Self {
-        match access {
-            Access::DeltaScan(ts) => Candidates::Slice(ts.iter()),
-            Access::DeltaIndex { tuples, index } => Candidates::Ids {
-                src: IdSource::Slice(tuples),
-                ids: index.probe_ids_ref(key).iter(),
-            },
-            Access::TempIndex { rel, index } => Candidates::Ids {
-                src: IdSource::Rel(rel),
-                ids: index.probe_ids_ref(key).iter(),
-            },
-            Access::Persistent { rel, index } => {
-                stats.index_probes += 1;
-                Candidates::Ids {
-                    src: IdSource::Rel(rel),
-                    ids: index.probe_ids_ref(key).iter(),
-                }
-            }
-            Access::FullScan(rel) => Candidates::Scan(rel.iter()),
-        }
-    }
-}
-
-impl<'a, 'b> Iterator for Candidates<'a, 'b> {
-    type Item = &'a Tuple;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match self {
-            Candidates::Slice(it) => it.next(),
-            Candidates::Ids { src, ids } => ids.next().map(|&id| src.get(id)),
-            Candidates::Scan(it) => it.next(),
-        }
-    }
-}
-
-/// Mutable join state threaded through the value recursion: bindings,
-/// scratch buffers, and the output. All `&Value` borrows live for the data
-/// lifetime `'a`.
-struct JoinState<'a> {
-    bindings: Vec<Option<&'a Value>>,
-    /// Reusable probe-key buffers, one in flight per recursion level. A rule
-    /// application allocates at most `positives.len()` of these, total —
-    /// not one per visited join combination.
-    key_pool: Vec<Vec<&'a Value>>,
-    /// Scratch for instantiating negated literals.
-    neg_scratch: Vec<Value>,
-    /// Scratch for instantiating head values, so duplicate derivations are
-    /// detected against `head_rel` *before* a `Tuple` is allocated.
-    head_scratch: Vec<Value>,
-    /// When set, head instantiations already present in this relation are
-    /// dropped without materialising a tuple (monotone fixpoint paths).
-    head_rel: Option<&'a Relation>,
-    out: Vec<Tuple>,
-}
-
-/// Does a candidate tuple match the bound columns? Required after index
-/// probes too: the ID-addressed index returns hash-bucket candidates.
-#[inline]
-fn matches_bound(pos: &CompiledPositive, key: &[&Value], t: &Tuple) -> bool {
-    pos.bound
-        .iter()
-        .zip(key.iter())
-        .all(|((col, _), v)| &t[*col] == *v)
-}
-
-/// Evaluate one compiled rule on the value pipeline and return the head
-/// tuples it produces.
-///
-/// `delta_at` optionally restricts the body occurrence with the given
-/// `body_index` to the supplied tuples (delta rules over tuples that need
-/// not be stored anywhere).
-///
-/// With `skip_existing`, head instantiations already present in the head
-/// relation are dropped inside the join (before any allocation) — correct
-/// only for monotone insertion paths, where the caller would discard them
-/// as duplicates anyway; deletion delta rules and ad-hoc rule evaluation
-/// must pass `false` because they expect previously derived tuples back.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_rule(
-    kind: EngineKind,
-    c: &CompiledRule,
-    db: &mut Database,
-    delta_at: Option<(usize, &[Tuple])>,
-    filter: Option<&DerivationFilter<'_>>,
-    stats: &mut EvalStats,
-    skip_existing: bool,
-) -> Result<Vec<Tuple>> {
-    stats.rule_applications += 1;
-    if c.reordered {
-        stats.reorders_applied += 1;
-    }
-
-    // Phase 1 (mutable): validate relations and make sure the pipelined
-    // backend's persistent indexes exist.
-    for pos in &c.positives {
-        if !db.has_relation(&pos.relation) {
-            return Err(DatalogError::MissingRelation(pos.relation.clone()));
-        }
-        let is_delta = matches!(delta_at, Some((bi, _)) if bi == pos.body_index);
-        if is_delta || kind != EngineKind::Pipelined {
-            continue;
-        }
-        let bound_cols = pos.bound_columns();
-        if !bound_cols.is_empty() {
-            db.relation_mut(&pos.relation)?.ensure_index(&bound_cols)?;
-        }
-    }
-
-    // Phase 2 (immutable): pick a borrowed access path per positive literal.
-    let db_ref: &Database = db;
-    let mut accesses: Vec<Access<'_>> = Vec::with_capacity(c.positives.len());
-    for pos in &c.positives {
-        let is_delta = matches!(delta_at, Some((bi, _)) if bi == pos.body_index);
-        let bound_cols = pos.bound_columns();
-        if is_delta {
-            let (_, tuples) = delta_at.unwrap();
-            if !bound_cols.is_empty() && tuples.len() >= DELTA_INDEX_MIN {
-                let index = HashIndex::build_from(
-                    bound_cols,
-                    tuples
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| (TupleId::from_index(i), t)),
-                );
-                stats.delta_indexes_built += 1;
-                accesses.push(Access::DeltaIndex { tuples, index });
-            } else {
-                accesses.push(Access::DeltaScan(tuples));
-            }
-            continue;
-        }
-        let rel = db_ref.relation(&pos.relation)?;
-        if bound_cols.is_empty() {
-            accesses.push(Access::FullScan(rel));
-            continue;
-        }
-        match kind {
-            EngineKind::Batch => {
-                let index = HashIndex::build_from(bound_cols, rel.iter_ids());
-                stats.temp_indexes_built += 1;
-                accesses.push(Access::TempIndex { rel, index });
-            }
-            EngineKind::Pipelined => match rel.index(&bound_cols) {
-                Some(index) => accesses.push(Access::Persistent { rel, index }),
-                // Unreachable after phase 1, but degrade to a scan rather
-                // than assume.
-                None => accesses.push(Access::FullScan(rel)),
-            },
-        }
-    }
-
-    // Phase 3: borrowed nested-loop join over the chosen access paths.
-    let head_rel = if skip_existing {
-        Some(db_ref.relation(&c.head_relation)?)
-    } else {
-        None
-    };
-    let mut state = JoinState {
-        bindings: vec![None; c.var_count],
-        key_pool: Vec::new(),
-        neg_scratch: Vec::new(),
-        head_scratch: Vec::new(),
-        head_rel,
-        out: Vec::new(),
-    };
-    join_literal(c, db_ref, &accesses, 0, &mut state, filter, stats)?;
-    Ok(state.out)
-}
-
-fn join_literal<'a>(
-    c: &'a CompiledRule,
-    db: &'a Database,
-    accesses: &[Access<'a>],
-    idx: usize,
-    st: &mut JoinState<'a>,
-    filter: Option<&DerivationFilter<'_>>,
-    stats: &mut EvalStats,
-) -> Result<()> {
-    if idx == c.positives.len() {
-        // All positive literals satisfied; check negated literals against
-        // the scratch buffer (no Tuple is allocated for the lookup).
-        for neg in &c.negatives {
-            st.neg_scratch.clear();
-            for s in &neg.columns {
-                st.neg_scratch
-                    .push(CompiledRule::resolve(s, &st.bindings).clone());
-            }
-            if db.relation(&neg.relation)?.contains_values(&st.neg_scratch) {
-                return Ok(());
-            }
-        }
-        // Instantiate the head into the scratch buffer — the single point
-        // where values are cloned.
-        st.head_scratch.clear();
-        for t in &c.head {
-            st.head_scratch
-                .push(CompiledRule::eval_head_term(t, &st.bindings));
-        }
-        stats.tuples_derived += 1;
-        // Duplicate derivations are dropped before a Tuple is allocated,
-        // and the content hash computed for the check is reused by the
-        // tuple constructed for genuinely new rows.
-        let hash = orchestra_storage::tuple::values_hash(&st.head_scratch);
-        if let Some(hr) = st.head_rel {
-            if hr.contains_values_hashed(hash, &st.head_scratch) {
-                return Ok(());
-            }
-        }
-        let tuple = Tuple::from_prehashed(std::mem::take(&mut st.head_scratch), hash);
-        if let Some(f) = filter {
-            if !f(&c.head_relation, &tuple) {
-                stats.filtered_out += 1;
-                return Ok(());
-            }
-        }
-        st.out.push(tuple);
-        return Ok(());
-    }
-
-    let pos = &c.positives[idx];
-
-    // Assemble the probe key from borrowed values in a pooled buffer.
-    let mut key = st.key_pool.pop().unwrap_or_default();
-    for (_, s) in &pos.bound {
-        key.push(CompiledRule::resolve(s, &st.bindings));
-    }
-
-    let candidates = Candidates::open(&accesses[idx], &key, stats);
-    for t in candidates {
-        stats.candidates_scanned += 1;
-        if !matches_bound(pos, &key, t) {
-            continue;
-        }
-        // Bind the free columns by reference.
-        for (col, slot) in &pos.free {
-            st.bindings[*slot] = Some(&t[*col]);
-        }
-        // Enforce repeated variables within this same atom (e.g. R(x, x)).
-        let intra_ok = pos
-            .intra
-            .iter()
-            .all(|(col, slot)| st.bindings[*slot] == Some(&t[*col]));
-        if !intra_ok {
-            continue;
-        }
-        join_literal(c, db, accesses, idx + 1, st, filter, stats)?;
-    }
-    // Unbind this literal's free slots and return the key buffer to the
-    // pool before handing control back.
-    for (_, slot) in &pos.free {
-        st.bindings[*slot] = None;
-    }
-    key.clear();
-    st.key_pool.push(key);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1834,34 +1433,28 @@ mod tests {
     }
 
     #[test]
-    fn transitive_closure_both_engines() {
-        for kind in EngineKind::all() {
-            let mut db = edge_db(&[(1, 2), (2, 3), (3, 4)]);
-            let mut eval = Evaluator::new(kind);
-            let stats = eval.run(&tc_program(), &mut db).unwrap();
-            let path = db.relation("path").unwrap();
-            assert_eq!(path.len(), 6, "engine {kind}");
-            assert!(path.contains(&int_tuple(&[1, 4])));
-            assert!(stats.tuples_inserted >= 6);
-            assert!(stats.iterations >= 2);
-        }
+    fn transitive_closure() {
+        let mut db = edge_db(&[(1, 2), (2, 3), (3, 4)]);
+        let mut eval = Evaluator::new();
+        let stats = eval.run(&tc_program(), &mut db).unwrap();
+        let path = db.relation("path").unwrap();
+        assert_eq!(path.len(), 6);
+        assert!(path.contains(&int_tuple(&[1, 4])));
+        assert!(stats.tuples_inserted >= 6);
+        assert!(stats.iterations >= 2);
     }
 
     #[test]
     fn naive_and_seminaive_agree_on_cycles() {
-        for kind in EngineKind::all() {
-            let mut db1 = edge_db(&[(1, 2), (2, 3), (3, 1)]);
-            let mut db2 = db1.snapshot();
-            Evaluator::new(kind).run(&tc_program(), &mut db1).unwrap();
-            Evaluator::new(kind)
-                .run_naive(&tc_program(), &mut db2)
-                .unwrap();
-            assert_eq!(
-                db1.relation("path").unwrap().sorted_tuples(),
-                db2.relation("path").unwrap().sorted_tuples()
-            );
-            assert_eq!(db1.relation("path").unwrap().len(), 9);
-        }
+        let mut db1 = edge_db(&[(1, 2), (2, 3), (3, 1)]);
+        let mut db2 = db1.snapshot();
+        Evaluator::new().run(&tc_program(), &mut db1).unwrap();
+        Evaluator::new().run_naive(&tc_program(), &mut db2).unwrap();
+        assert_eq!(
+            db1.relation("path").unwrap().sorted_tuples(),
+            db2.relation("path").unwrap().sorted_tuples()
+        );
+        assert_eq!(db1.relation("path").unwrap().len(), 9);
     }
 
     #[test]
@@ -1885,7 +1478,7 @@ mod tests {
         db.insert("hidden", int_tuple(&[2])).unwrap();
         db.insert("hidden", int_tuple(&[4])).unwrap();
 
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         eval.run(&program, &mut db).unwrap();
         let visible = db.relation("visible").unwrap();
         assert_eq!(visible.len(), 3);
@@ -1912,7 +1505,7 @@ mod tests {
         db.insert("b", int_tuple(&[4, 5])).unwrap();
         db.insert("b", int_tuple(&[3, 2])).unwrap();
 
-        let mut eval = Evaluator::new(EngineKind::Batch);
+        let mut eval = Evaluator::new();
         eval.run(&program, &mut db).unwrap();
         let u = db.relation("u").unwrap();
         // Both (3,5) and (4,5) produce the same placeholder f0(5): set
@@ -1940,7 +1533,7 @@ mod tests {
 
         let filter =
             |rel: &str, t: &Tuple| -> bool { !(rel == "b" && t[0].as_int().unwrap_or(0) > 1) };
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         let stats = eval.run_filtered(&program, &mut db, Some(&filter)).unwrap();
         assert_eq!(db.relation("b").unwrap().len(), 1);
         assert_eq!(db.relation("c").unwrap().len(), 1);
@@ -1949,31 +1542,28 @@ mod tests {
 
     #[test]
     fn incremental_insertions_match_full_recomputation() {
-        for kind in EngineKind::all() {
-            // Full computation over all edges at once...
-            let mut full = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
-            Evaluator::new(kind).run(&tc_program(), &mut full).unwrap();
+        // Full computation over all edges at once...
+        let mut full = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
+        Evaluator::new().run(&tc_program(), &mut full).unwrap();
 
-            // ...must equal base computation plus incremental propagation.
-            let mut incr = edge_db(&[(1, 2), (2, 3)]);
-            let mut eval = Evaluator::new(kind);
-            eval.run(&tc_program(), &mut incr).unwrap();
-            let mut deltas = HashMap::new();
-            deltas.insert(
-                "edge".to_string(),
-                vec![int_tuple(&[3, 4]), int_tuple(&[4, 5])],
-            );
-            let new = eval
-                .propagate_insertions(&tc_program(), &mut incr, &deltas, None)
-                .unwrap();
-            assert_eq!(
-                full.relation("path").unwrap().sorted_tuples(),
-                incr.relation("path").unwrap().sorted_tuples(),
-                "engine {kind}"
-            );
-            assert!(new.contains_key("path"));
-            assert!(new["path"].contains(&int_tuple(&[1, 5])));
-        }
+        // ...must equal base computation plus incremental propagation.
+        let mut incr = edge_db(&[(1, 2), (2, 3)]);
+        let mut eval = Evaluator::new();
+        eval.run(&tc_program(), &mut incr).unwrap();
+        let mut deltas = HashMap::new();
+        deltas.insert(
+            "edge".to_string(),
+            vec![int_tuple(&[3, 4]), int_tuple(&[4, 5])],
+        );
+        let new = eval
+            .propagate_insertions(&tc_program(), &mut incr, &deltas, None)
+            .unwrap();
+        assert_eq!(
+            full.relation("path").unwrap().sorted_tuples(),
+            incr.relation("path").unwrap().sorted_tuples()
+        );
+        assert!(new.contains_key("path"));
+        assert!(new["path"].contains(&int_tuple(&[1, 5])));
     }
 
     #[test]
@@ -1981,45 +1571,36 @@ mod tests {
         // Reusing one PlanCache across many incremental propagations (the
         // CDSS exchange pattern) must agree with fresh compilation, and the
         // reuse must show up in the stats.
-        for kind in EngineKind::all() {
-            let program = tc_program();
-            let mut cached_db = edge_db(&[(1, 2), (2, 3)]);
-            let mut fresh_db = edge_db(&[(1, 2), (2, 3)]);
-            let mut cache = PlanCache::new();
-            let mut cached_eval = Evaluator::new(kind);
-            let mut fresh_eval = Evaluator::new(kind);
-            cached_eval
-                .run_filtered_cached(&mut cache, &program, &mut cached_db, None)
-                .unwrap();
-            fresh_eval.run(&program, &mut fresh_db).unwrap();
-            for step in 0..4i64 {
-                let mut deltas = HashMap::new();
-                deltas.insert(
-                    "edge".to_string(),
-                    vec![int_tuple(&[3 + step, 4 + step]), int_tuple(&[step, 7])],
-                );
-                cached_eval
-                    .propagate_insertions_cached(
-                        &mut cache,
-                        &program,
-                        &mut cached_db,
-                        &deltas,
-                        None,
-                    )
-                    .unwrap();
-                fresh_eval
-                    .propagate_insertions(&program, &mut fresh_db, &deltas, None)
-                    .unwrap();
-            }
-            assert_eq!(
-                cached_db.relation("path").unwrap().sorted_tuples(),
-                fresh_db.relation("path").unwrap().sorted_tuples(),
-                "engine {kind}"
+        let program = tc_program();
+        let mut cached_db = edge_db(&[(1, 2), (2, 3)]);
+        let mut fresh_db = edge_db(&[(1, 2), (2, 3)]);
+        let mut cache = PlanCache::new();
+        let mut cached_eval = Evaluator::new();
+        let mut fresh_eval = Evaluator::new();
+        cached_eval
+            .run_filtered_cached(&mut cache, &program, &mut cached_db, None)
+            .unwrap();
+        fresh_eval.run(&program, &mut fresh_db).unwrap();
+        for step in 0..4i64 {
+            let mut deltas = HashMap::new();
+            deltas.insert(
+                "edge".to_string(),
+                vec![int_tuple(&[3 + step, 4 + step]), int_tuple(&[step, 7])],
             );
-            let stats = cached_eval.take_stats();
-            assert!(stats.plan_cache_hits > 0, "engine {kind}: {stats}");
-            assert!(stats.intern_misses > 0);
+            cached_eval
+                .propagate_insertions_cached(&mut cache, &program, &mut cached_db, &deltas, None)
+                .unwrap();
+            fresh_eval
+                .propagate_insertions(&program, &mut fresh_db, &deltas, None)
+                .unwrap();
         }
+        assert_eq!(
+            cached_db.relation("path").unwrap().sorted_tuples(),
+            fresh_db.relation("path").unwrap().sorted_tuples()
+        );
+        let stats = cached_eval.take_stats();
+        assert!(stats.plan_cache_hits > 0, "{stats}");
+        assert!(stats.intern_misses > 0);
     }
 
     #[test]
@@ -2036,7 +1617,7 @@ mod tests {
             .unwrap();
         db.create_relation(RelationSchema::new("rej", &["x"]))
             .unwrap();
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         let mut deltas = HashMap::new();
         deltas.insert("rej".to_string(), vec![int_tuple(&[1])]);
         assert!(eval
@@ -2045,36 +1626,31 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_rule_with_delta_constrains_one_occurrence() {
+    fn evaluate_rule_returns_present_derivations_without_inserting() {
         let mut db = edge_db(&[(1, 2), (2, 3)]);
         db.create_relation(RelationSchema::new("path", &["s", "d"]))
             .unwrap();
         db.insert("path", int_tuple(&[1, 2])).unwrap();
-        db.insert("path", int_tuple(&[2, 3])).unwrap();
         db.insert("path", int_tuple(&[1, 3])).unwrap();
 
-        // path(x,z) :- path(x,y), edge(y,z), with edge constrained to a delta
-        // of tuples that are stored nowhere (the value pipeline handles it).
+        // path(x,z) :- path(x,y), edge(y,z): (1,3) is already stored and
+        // must still come back (no dedup against the head relation).
         let rule = Rule::positive(
             atom("path", &["x", "z"]),
             vec![atom("path", &["x", "y"]), atom("edge", &["y", "z"])],
         );
-        let delta = vec![int_tuple(&[3, 9])];
-        let mut eval = Evaluator::new(EngineKind::Batch);
-        let out = eval
-            .evaluate_rule(&rule, &mut db, Some((1, &delta)), None)
-            .unwrap();
-        let mut out = out;
-        out.sort();
-        out.dedup();
-        assert_eq!(out, vec![int_tuple(&[1, 9]), int_tuple(&[2, 9])]);
+        let mut eval = Evaluator::new();
+        let out = eval.evaluate_rule(&rule, &mut db, None).unwrap();
+        assert_eq!(out, vec![int_tuple(&[1, 3])]);
+        assert_eq!(db.relation("path").unwrap().len(), 2, "nothing inserted");
+        assert_eq!(eval.stats().rule_applications, 1);
     }
 
     #[test]
     fn missing_edb_relations_are_created_empty() {
         let program = tc_program();
         let mut db = Database::new();
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         eval.run(&program, &mut db).unwrap();
         assert!(db.has_relation("edge"));
         assert!(db.has_relation("path"));
@@ -2087,7 +1663,7 @@ mod tests {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("edge", &["only_one"]))
             .unwrap();
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         assert!(matches!(
             eval.run(&program, &mut db).unwrap_err(),
             DatalogError::ArityConflict { .. }
@@ -2104,11 +1680,9 @@ mod tests {
                 vec![Term::constant(2i64), Term::var("y")],
             )],
         )]);
-        for kind in EngineKind::all() {
-            let mut db = edge_db(&[(1, 2), (2, 3), (2, 4)]);
-            Evaluator::new(kind).run(&program, &mut db).unwrap();
-            assert_eq!(db.relation("two").unwrap().len(), 2);
-        }
+        let mut db = edge_db(&[(1, 2), (2, 3), (2, 4)]);
+        Evaluator::new().run(&program, &mut db).unwrap();
+        assert_eq!(db.relation("two").unwrap().len(), 2);
     }
 
     #[test]
@@ -2120,22 +1694,20 @@ mod tests {
             Atom::new("mark", vec![Term::var("x"), Term::constant(7i64)]),
             vec![atom("edge", &["x", "y"])],
         )]);
-        for kind in EngineKind::all() {
-            let mut db = edge_db(&[(1, 2), (1, 3), (1, 4), (2, 9)]);
-            let stats = Evaluator::new(kind).run(&program, &mut db).unwrap();
-            let mark = db.relation("mark").unwrap();
-            assert_eq!(mark.len(), 2, "engine {kind}");
-            assert!(mark.contains(&int_tuple(&[1, 7])));
-            assert!(mark.contains(&int_tuple(&[2, 7])));
-            assert!(stats.tuples_derived >= 4);
-            assert_eq!(stats.tuples_inserted, 2);
-        }
+        let mut db = edge_db(&[(1, 2), (1, 3), (1, 4), (2, 9)]);
+        let stats = Evaluator::new().run(&program, &mut db).unwrap();
+        let mark = db.relation("mark").unwrap();
+        assert_eq!(mark.len(), 2);
+        assert!(mark.contains(&int_tuple(&[1, 7])));
+        assert!(mark.contains(&int_tuple(&[2, 7])));
+        assert!(stats.tuples_derived >= 4);
+        assert_eq!(stats.tuples_inserted, 2);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let mut db = edge_db(&[(1, 2)]);
-        let mut eval = Evaluator::new(EngineKind::Batch);
+        let mut eval = Evaluator::new();
         eval.run(&tc_program(), &mut db).unwrap();
         assert!(eval.stats().rule_applications > 0);
         let taken = eval.take_stats();

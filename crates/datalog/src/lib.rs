@@ -11,11 +11,10 @@
 //!   program is *stratified*;
 //! * evaluation runs to fixpoint per stratum, either naively or with
 //!   semi-naive delta rules (paper §4.2);
-//! * two execution backends mirror the paper's two implementations (§5):
-//!   a **batch** backend that re-plans and re-materialises every rule
-//!   application (modelling the DB2/SQL implementation's per-statement round
-//!   trips) and a **pipelined** backend that prepares per-rule join plans
-//!   with persistent indexes (modelling the Tukwila implementation);
+//! * one execution engine: prepared, cost-ordered per-rule join plans over
+//!   persistent indexes, joined in interned-id currency (the shape of the
+//!   paper's Tukwila implementation, §5.2 — the DB2-style backend of §5.1
+//!   converged onto it and was removed);
 //! * incremental *insertion* propagation applies externally supplied deltas
 //!   through the delta-rule program, with an optional per-tuple filter hook
 //!   used by the CDSS layer to enforce trust conditions during derivation;
@@ -29,7 +28,7 @@
 //! contributions, rejections).
 //!
 //! ```
-//! use orchestra_datalog::{parse_program, Evaluator, EngineKind};
+//! use orchestra_datalog::{parse_program, Evaluator};
 //! use orchestra_storage::{Database, RelationSchema, Tuple, Value};
 //!
 //! // Transitive closure.
@@ -44,7 +43,7 @@
 //! db.insert("edge", Tuple::new(vec![Value::int(1), Value::int(2)])).unwrap();
 //! db.insert("edge", Tuple::new(vec![Value::int(2), Value::int(3)])).unwrap();
 //!
-//! let mut eval = Evaluator::new(EngineKind::Pipelined);
+//! let mut eval = Evaluator::new();
 //! eval.run(&program, &mut db).unwrap();
 //! assert_eq!(db.relation("path").unwrap().len(), 3);
 //! ```
@@ -55,7 +54,6 @@
 pub mod atom;
 pub mod compile;
 pub mod delta;
-pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod magic;
@@ -68,7 +66,6 @@ pub mod stats;
 pub mod term;
 
 pub use atom::{Atom, Literal};
-pub use engine::EngineKind;
 pub use error::DatalogError;
 pub use eval::{bound_scan, DerivationFilter, Evaluator};
 pub use magic::{magic_rewrite, Adornment, MagicRewrite};

@@ -517,7 +517,6 @@ mod tests {
 
     #[test]
     fn demand_answers_match_filtered_full_fixpoint() {
-        use crate::engine::EngineKind;
         use crate::eval::{bound_scan, Evaluator};
         use crate::plan::PlanCache;
         use orchestra_storage::{tuple::int_tuple, Database, RelationSchema};
@@ -535,7 +534,7 @@ mod tests {
         let binding = vec![Some(Value::int(40)), None];
 
         let mut full_db = chain_db();
-        let mut eval = Evaluator::sequential(EngineKind::Pipelined);
+        let mut eval = Evaluator::sequential();
         eval.run(&program, &mut full_db).unwrap();
         let full_apps = eval.take_stats().rule_applications;
         let expected = bound_scan(&full_db, "path", &binding).unwrap();

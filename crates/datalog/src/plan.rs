@@ -26,38 +26,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use orchestra_storage::{Database, HashIndex, Relation, ValueId, ValuePool};
+use orchestra_storage::{Database, Relation, ValueId, ValuePool};
 
 use crate::compile::{BoundSource, CompiledHeadTerm, CompiledRule};
 use crate::magic::{magic_rewrite, Adornment, MagicRewrite};
 use crate::program::{Program, Stratification};
 use crate::Result;
-
-/// How many times a `(relation, columns)` throwaway index must have been
-/// built before the batch backend promotes the access path to a maintained
-/// persistent index on the relation (incremental maintenance then replaces
-/// full rebuilds). `1` = the second request for the same path promotes.
-pub(crate) const TEMP_PROMOTE_AFTER: u32 = 1;
-
-/// The batch backend's throwaway-index state, persisted across evaluations
-/// alongside the plan cache.
-///
-/// An index is keyed by `(relation, bound columns)` and stamped with the
-/// relation's **monotone content version** at build time: any insert,
-/// remove or clear bumps the version, so an unchanged stamp proves the
-/// index is current even across exchanges that delete and re-insert to the
-/// same length — there is exactly one live entry per key. Keys rebuilt
-/// more than [`TEMP_PROMOTE_AFTER`] times are *promoted*: the evaluator
-/// creates a persistent index on the relation instead (and drops the
-/// retained throwaway build), converting repeated O(relation) rebuilds
-/// into incremental maintenance.
-#[derive(Debug, Default)]
-pub(crate) struct TempIndexes {
-    /// `(relation, columns)` → (relation content version at build, index).
-    pub(crate) built: HashMap<(String, Vec<usize>), (u64, HashIndex)>,
-    /// Rebuild counters driving promotion.
-    pub(crate) builds: HashMap<(String, Vec<usize>), u32>,
-}
 
 /// Where an id-resolved bound column / negated column / head column gets
 /// its [`ValueId`] from.
@@ -138,6 +112,14 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
+    /// Attach the id-resolved side to a compiled rule, interning the rule's
+    /// constants into `pool` (the pool of the database the plan will run
+    /// against).
+    pub(crate) fn new(rule: CompiledRule, pool: &mut ValuePool) -> CompiledPlan {
+        let ids = IdPlan::build(&rule, pool);
+        CompiledPlan { rule, ids }
+    }
+
     fn build(
         rule: &crate::rule::Rule,
         estimate: &dyn Fn(&str) -> usize,
@@ -147,11 +129,7 @@ impl CompiledPlan {
         // The cache validated the whole program in `prepare`; skip the
         // per-rule safety re-check on every (re)compile.
         let compiled = CompiledRule::compile_ordered_prevalidated(rule, estimate, first)?;
-        let ids = IdPlan::build(&compiled, pool);
-        Ok(CompiledPlan {
-            rule: compiled,
-            ids,
-        })
+        Ok(CompiledPlan::new(compiled, pool))
     }
 }
 
@@ -209,8 +187,6 @@ pub struct PlanCache {
     tracked: Vec<String>,
     /// Relation name → arity, memoised for `Evaluator::prepare_relations`.
     arities: Option<Arc<std::collections::BTreeMap<String, usize>>>,
-    /// The batch backend's throwaway-index state (see [`TempIndexes`]).
-    pub(crate) temp: TempIndexes,
     /// Relation name → (cardinality band, cardinality) at last replanning.
     cards: HashMap<String, (u32, usize)>,
     /// Demand rewrites per `(predicate, adornment)`, each with its own
@@ -234,9 +210,8 @@ impl PlanCache {
         self.hits
     }
 
-    /// Drop every compiled plan and retained throwaway index, keeping the
-    /// program facts (stratification, occurrences, arities) and cardinality
-    /// bands.
+    /// Drop every compiled plan, keeping the program facts
+    /// (stratification, occurrences, arities) and cardinality bands.
     ///
     /// **Required after a [`ValuePool`] compaction** of the bound database:
     /// compiled [`IdPlan`]s hold rule constants interned as pre-compaction
@@ -249,7 +224,6 @@ impl PlanCache {
         for p in &mut self.plans {
             *p = RulePlan::default();
         }
-        self.temp = TempIndexes::default();
         // Adorned demand plans hold the same pool-id currency in their
         // nested caches; the rewrites themselves are id-free and survive.
         for e in self.magic.values_mut() {
@@ -372,14 +346,13 @@ impl PlanCache {
         Ok(self.arities.clone().expect("just computed"))
     }
 
-    /// The cost-ordered base plan for rule `ri` (full evaluation), together
-    /// with the throwaway-index state (disjoint borrows of the cache).
-    pub(crate) fn base<'c>(
-        &'c mut self,
+    /// The cost-ordered base plan for rule `ri` (full evaluation).
+    pub(crate) fn base(
+        &mut self,
         program: &Program,
         ri: usize,
         pool: &mut ValuePool,
-    ) -> Result<(&'c CompiledPlan, &'c mut TempIndexes)> {
+    ) -> Result<&CompiledPlan> {
         if self.plans[ri].base.is_none() {
             self.misses += 1;
             let cards = &self.cards;
@@ -389,22 +362,18 @@ impl PlanCache {
         } else {
             self.hits += 1;
         }
-        Ok((
-            self.plans[ri].base.as_ref().expect("just compiled"),
-            &mut self.temp,
-        ))
+        Ok(self.plans[ri].base.as_ref().expect("just compiled"))
     }
 
     /// The delta-first plan for rule `ri` with the positive occurrence at
-    /// `body_index` forced to the front of the join, together with the
-    /// throwaway-index state.
-    pub(crate) fn delta<'c>(
-        &'c mut self,
+    /// `body_index` forced to the front of the join.
+    pub(crate) fn delta(
+        &mut self,
         program: &Program,
         ri: usize,
         body_index: usize,
         pool: &mut ValuePool,
-    ) -> Result<(&'c CompiledPlan, &'c mut TempIndexes)> {
+    ) -> Result<&CompiledPlan> {
         if !self.plans[ri].deltas.contains_key(&body_index) {
             self.misses += 1;
             let cards = &self.cards;
@@ -415,7 +384,7 @@ impl PlanCache {
         } else {
             self.hits += 1;
         }
-        Ok((&self.plans[ri].deltas[&body_index], &mut self.temp))
+        Ok(&self.plans[ri].deltas[&body_index])
     }
 
     /// The already-compiled base plan for rule `ri`. Panics if [`base`] has
@@ -440,11 +409,6 @@ impl PlanCache {
             .deltas
             .get(&body_index)
             .expect("delta plan pre-compiled before parallel round")
-    }
-
-    /// Shared view of the throwaway-index state for read-only workers.
-    pub(crate) fn temp_ref(&self) -> &TempIndexes {
-        &self.temp
     }
 
     /// The cached demand rewrite for `(predicate, adornment)`, built on
@@ -551,7 +515,7 @@ mod tests {
         let prepared = cache.prepare(&program).unwrap();
         cache.refresh(&program, &db);
         assert_eq!(prepared.occurrences[1].len(), 2);
-        let (plan, _) = cache.delta(&program, 1, 1, db.pool_mut()).unwrap();
+        let plan = cache.delta(&program, 1, 1, db.pool_mut()).unwrap();
         assert_eq!(plan.rule.positives[0].body_index, 1);
         // Id side mirrors the compiled rule's shape.
         assert_eq!(plan.ids.bound.len(), plan.rule.positives.len());
@@ -577,7 +541,7 @@ mod tests {
         let prepared_other = cache.prepare(&other).unwrap();
         assert_eq!(prepared_other.occurrences.len(), 1);
         cache.refresh(&other, &db);
-        let (plan, _) = cache.base(&other, 0, db.pool_mut()).unwrap();
+        let plan = cache.base(&other, 0, db.pool_mut()).unwrap();
         assert_eq!(plan.rule.head_relation, "q");
         // Same program again: still cached (no reset).
         let hits_before = cache.hits;
@@ -604,14 +568,12 @@ mod tests {
 
         assert!(cache.prepared.is_some(), "stratification survives");
         assert!(cache.plans.iter().all(|p| p.base.is_none()));
-        assert!(cache.temp.built.is_empty());
         cache.base(&program, 0, db.pool_mut()).unwrap();
         assert_eq!(cache.misses, misses_before + 1, "plan recompiled");
     }
 
     #[test]
     fn invalidate_plans_drops_stale_magic_plans_after_compaction() {
-        use crate::engine::EngineKind;
         use crate::eval::Evaluator;
         use crate::magic::Adornment;
         use orchestra_storage::Value;
@@ -647,7 +609,7 @@ mod tests {
 
         let binding = vec![Some(Value::int(10)), None];
         let mut cache = PlanCache::new();
-        let mut eval = Evaluator::sequential(EngineKind::Pipelined);
+        let mut eval = Evaluator::sequential();
         let before = eval
             .run_demand_cached(&mut cache, &program, &mut db, "hop", &binding)
             .unwrap();
@@ -679,7 +641,6 @@ mod tests {
                 .all(|p| p.base.is_none()),
             "nested demand plans dropped with the outer plans"
         );
-        assert!(cache.magic[&key].plans.temp.built.is_empty());
 
         let after = eval
             .run_demand_cached(&mut cache, &program, &mut db, "hop", &binding)

@@ -98,7 +98,7 @@ fn search(
 }
 
 /// All head tuples one rule derives from the current database state.
-fn rule_answers(rule: &Rule, db: &Database) -> Result<Vec<Tuple>> {
+pub fn rule_answers(rule: &Rule, db: &Database) -> Result<Vec<Tuple>> {
     let positives: Vec<&Literal> = rule.body.iter().filter(|l| !l.negated).collect();
     let negatives: Vec<&Literal> = rule.body.iter().filter(|l| l.negated).collect();
     let mut env = HashMap::new();
@@ -187,7 +187,6 @@ pub fn propagate_insertions_reference(
 mod tests {
     use super::*;
     use crate::atom::Atom;
-    use crate::engine::EngineKind;
     use crate::eval::Evaluator;
     use orchestra_storage::tuple::int_tuple;
 
@@ -217,17 +216,14 @@ mod tests {
 
     #[test]
     fn reference_matches_optimized_on_transitive_closure() {
-        for kind in EngineKind::all() {
-            let mut opt = edge_db(&[(1, 2), (2, 3), (3, 1), (3, 4)]);
-            let mut oracle = opt.snapshot();
-            Evaluator::new(kind).run(&tc_program(), &mut opt).unwrap();
-            run_reference(&tc_program(), &mut oracle).unwrap();
-            assert_eq!(
-                opt.relation("path").unwrap().sorted_tuples(),
-                oracle.relation("path").unwrap().sorted_tuples(),
-                "engine {kind}"
-            );
-        }
+        let mut opt = edge_db(&[(1, 2), (2, 3), (3, 1), (3, 4)]);
+        let mut oracle = opt.snapshot();
+        Evaluator::new().run(&tc_program(), &mut opt).unwrap();
+        run_reference(&tc_program(), &mut oracle).unwrap();
+        assert_eq!(
+            opt.relation("path").unwrap().sorted_tuples(),
+            oracle.relation("path").unwrap().sorted_tuples()
+        );
     }
 
     #[test]
@@ -261,36 +257,33 @@ mod tests {
 
     #[test]
     fn reference_propagation_matches_optimized() {
-        for kind in EngineKind::all() {
-            let mut opt = edge_db(&[(1, 2), (2, 3)]);
-            let mut oracle = opt.snapshot();
-            let mut eval = Evaluator::new(kind);
-            eval.run(&tc_program(), &mut opt).unwrap();
-            run_reference(&tc_program(), &mut oracle).unwrap();
+        let mut opt = edge_db(&[(1, 2), (2, 3)]);
+        let mut oracle = opt.snapshot();
+        let mut eval = Evaluator::new();
+        eval.run(&tc_program(), &mut opt).unwrap();
+        run_reference(&tc_program(), &mut oracle).unwrap();
 
-            let mut deltas = HashMap::new();
-            deltas.insert("edge".to_string(), vec![int_tuple(&[3, 4])]);
-            let new_opt = eval
-                .propagate_insertions(&tc_program(), &mut opt, &deltas, None)
-                .unwrap();
-            let new_ref =
-                propagate_insertions_reference(&tc_program(), &mut oracle, &deltas).unwrap();
+        let mut deltas = HashMap::new();
+        deltas.insert("edge".to_string(), vec![int_tuple(&[3, 4])]);
+        let new_opt = eval
+            .propagate_insertions(&tc_program(), &mut opt, &deltas, None)
+            .unwrap();
+        let new_ref = propagate_insertions_reference(&tc_program(), &mut oracle, &deltas).unwrap();
 
-            // Same final instances.
-            assert_eq!(
-                opt.relation("path").unwrap().sorted_tuples(),
-                oracle.relation("path").unwrap().sorted_tuples()
-            );
-            // Same reported novelty.
-            let mut opt_sorted: BTreeMap<String, Vec<Tuple>> = new_opt
-                .into_iter()
-                .filter(|(_, ts)| !ts.is_empty())
-                .collect();
-            for ts in opt_sorted.values_mut() {
-                ts.sort();
-                ts.dedup();
-            }
-            assert_eq!(opt_sorted, new_ref, "engine {kind}");
+        // Same final instances.
+        assert_eq!(
+            opt.relation("path").unwrap().sorted_tuples(),
+            oracle.relation("path").unwrap().sorted_tuples()
+        );
+        // Same reported novelty.
+        let mut opt_sorted: BTreeMap<String, Vec<Tuple>> = new_opt
+            .into_iter()
+            .filter(|(_, ts)| !ts.is_empty())
+            .collect();
+        for ts in opt_sorted.values_mut() {
+            ts.sort();
+            ts.dedup();
         }
+        assert_eq!(opt_sorted, new_ref);
     }
 }

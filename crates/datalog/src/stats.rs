@@ -15,8 +15,7 @@ pub struct EvalStats {
     /// Number of fixpoint iterations executed (summed over strata).
     pub iterations: usize,
     /// Number of individual rule applications (one rule evaluated once in
-    /// one iteration). For the batch backend this is also the number of
-    /// simulated SQL statements / round trips.
+    /// one iteration).
     pub rule_applications: usize,
     /// Number of head tuples produced by rule applications, before
     /// de-duplication against the existing instance.
@@ -25,9 +24,7 @@ pub struct EvalStats {
     pub tuples_inserted: usize,
     /// Number of tuples removed (only populated by deletion procedures).
     pub tuples_deleted: usize,
-    /// Number of throwaway hash indexes built (batch backend).
-    pub temp_indexes_built: usize,
-    /// Number of persistent index probes performed (pipelined backend).
+    /// Number of persistent index probes performed.
     pub index_probes: usize,
     /// Number of derived tuples rejected by the derivation filter
     /// (trust conditions).
@@ -89,10 +86,10 @@ impl EvalStats {
     /// Add this counter set into the process-global metrics registry
     /// (`eval_*_total` series), so scrapes see cumulative evaluation
     /// work without threading `EvalStats` through every caller. Handles
-    /// are resolved once and cached; recording is 19 relaxed adds.
+    /// are resolved once and cached; recording is 18 relaxed adds.
     pub fn record_to_registry(&self) {
         use std::sync::OnceLock;
-        static HANDLES: OnceLock<[orchestra_obs::Counter; 19]> = OnceLock::new();
+        static HANDLES: OnceLock<[orchestra_obs::Counter; 18]> = OnceLock::new();
         let handles = HANDLES.get_or_init(|| {
             [
                 orchestra_obs::counter("eval_iterations_total"),
@@ -100,7 +97,6 @@ impl EvalStats {
                 orchestra_obs::counter("eval_tuples_derived_total"),
                 orchestra_obs::counter("eval_tuples_inserted_total"),
                 orchestra_obs::counter("eval_tuples_deleted_total"),
-                orchestra_obs::counter("eval_temp_indexes_built_total"),
                 orchestra_obs::counter("eval_index_probes_total"),
                 orchestra_obs::counter("eval_filtered_out_total"),
                 orchestra_obs::counter("eval_candidates_scanned_total"),
@@ -122,7 +118,6 @@ impl EvalStats {
             self.tuples_derived,
             self.tuples_inserted,
             self.tuples_deleted,
-            self.temp_indexes_built,
             self.index_probes,
             self.filtered_out,
             self.candidates_scanned,
@@ -152,7 +147,6 @@ impl AddAssign for EvalStats {
         self.tuples_derived += o.tuples_derived;
         self.tuples_inserted += o.tuples_inserted;
         self.tuples_deleted += o.tuples_deleted;
-        self.temp_indexes_built += o.temp_indexes_built;
         self.index_probes += o.index_probes;
         self.filtered_out += o.filtered_out;
         self.candidates_scanned += o.candidates_scanned;
@@ -173,13 +167,12 @@ impl fmt::Display for EvalStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "iterations={} rule_apps={} derived={} inserted={} deleted={} temp_indexes={} probes={} filtered={} candidates={} delta_indexes={} reorders={} intern_hits={} intern_misses={} plan_cache_hits={} parallel_tasks={} parallel_chunks={} magic_seeds={} demand_rules={} demand_plan_hits={}",
+            "iterations={} rule_apps={} derived={} inserted={} deleted={} probes={} filtered={} candidates={} delta_indexes={} reorders={} intern_hits={} intern_misses={} plan_cache_hits={} parallel_tasks={} parallel_chunks={} magic_seeds={} demand_rules={} demand_plan_hits={}",
             self.iterations,
             self.rule_applications,
             self.tuples_derived,
             self.tuples_inserted,
             self.tuples_deleted,
-            self.temp_indexes_built,
             self.index_probes,
             self.filtered_out,
             self.candidates_scanned,
@@ -209,7 +202,6 @@ mod tests {
             tuples_derived: 3,
             tuples_inserted: 4,
             tuples_deleted: 5,
-            temp_indexes_built: 6,
             index_probes: 7,
             filtered_out: 8,
             candidates_scanned: 9,
@@ -231,7 +223,6 @@ mod tests {
         assert_eq!(a.tuples_derived, 6);
         assert_eq!(a.tuples_inserted, 8);
         assert_eq!(a.tuples_deleted, 10);
-        assert_eq!(a.temp_indexes_built, 12);
         assert_eq!(a.index_probes, 14);
         assert_eq!(a.filtered_out, 16);
         assert_eq!(a.candidates_scanned, 18);
@@ -274,7 +265,6 @@ mod tests {
             "derived",
             "inserted",
             "deleted",
-            "temp_indexes",
             "probes",
             "filtered",
             "candidates",

@@ -146,7 +146,7 @@ mod tests {
     use super::*;
     use crate::compile::ProvenanceEncoding;
     use crate::tgd::example2_mappings;
-    use orchestra_datalog::{EngineKind, Evaluator};
+    use orchestra_datalog::Evaluator;
     use orchestra_storage::{tuple::int_tuple, Database, RelationSchema};
 
     fn example_system() -> MappingSystem {
@@ -187,7 +187,7 @@ mod tests {
         db.insert("U_l", int_tuple(&[2, 5])).unwrap();
 
         // Run the forward update-exchange program.
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         eval.run(&system.program, &mut db).unwrap();
         assert!(db.relation("B_o").unwrap().contains(&int_tuple(&[3, 2])));
 

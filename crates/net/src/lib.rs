@@ -55,7 +55,7 @@ pub use client::{NetClient, ProvenancePage, RemoteProvenance};
 pub use error::NetError;
 pub use orchestra_core::{PageDirection, ProvenanceNeighbor};
 pub use proto::{EditBatch, ErrorCode, ExchangeSummary, Request, Response, ServerStats};
-pub use server::{serve, serve_with, MetricsProbe, ServeOptions, ServerHandle};
+pub use server::{serve, MetricsProbe, ServerHandle};
 
 /// Convenience result alias for network operations.
 pub type Result<T> = std::result::Result<T, NetError>;

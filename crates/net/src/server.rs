@@ -10,10 +10,8 @@
 //!   an immutable whole-epoch view — so queries keep answering at full
 //!   speed while an exchange holds the write lock for seconds. Answers are
 //!   serialized straight from borrowed tuples; no relation is cloned.
-//!   [`ServeOptions::locked_reads`] restores the historical
-//!   read-under-`RwLock` path (the baseline the benchmark harness compares
-//!   against). `GetTrustPolicy` stays on the read lock: policies are
-//!   mutable live state that snapshots deliberately do not capture.
+//!   `GetTrustPolicy` stays on the read lock: policies are mutable live
+//!   state that snapshots deliberately do not capture.
 //! * **Writes batch**: `PublishEdits` does *not* touch the write lock. The
 //!   batch is validated against the schema under the read lock and admitted
 //!   to an ingestion queue guarded by its own mutex, tagged with a global
@@ -174,9 +172,6 @@ struct Shared {
     /// Lock-free handle onto the CDSS's latest published snapshot view;
     /// read requests load it without touching `cdss`'s `RwLock`.
     reader: SnapshotReader,
-    /// Serve reads under the `RwLock` instead of from snapshots
-    /// ([`ServeOptions::locked_reads`]).
-    locked_reads: bool,
     ingest: Mutex<Ingest>,
     obs: ServerObs,
     shutdown: AtomicBool,
@@ -321,30 +316,11 @@ fn wake_accept_loop(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&target, Duration::from_millis(500));
 }
 
-/// Tuning knobs for [`serve_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeOptions {
-    /// Serve `QueryLocal` / `QueryCertain` / `ProvenanceOf` / `Stats`
-    /// under the CDSS `RwLock` instead of from lock-free snapshot views —
-    /// the pre-snapshot behaviour, kept as the baseline the latency
-    /// benchmark compares against. Defaults to `false` (snapshot reads).
-    pub locked_reads: bool,
-}
-
 /// Start serving a CDSS on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral
 /// port). Returns once the listener is bound; requests are served on
 /// background threads until shutdown. Reads are snapshot-isolated (see the
-/// module docs); use [`serve_with`] to opt out.
+/// module docs).
 pub fn serve(cdss: Cdss, addr: impl ToSocketAddrs) -> Result<ServerHandle> {
-    serve_with(cdss, addr, ServeOptions::default())
-}
-
-/// [`serve`] with explicit [`ServeOptions`].
-pub fn serve_with(
-    cdss: Cdss,
-    addr: impl ToSocketAddrs,
-    options: ServeOptions,
-) -> Result<ServerHandle> {
     let listener = TcpListener::bind(addr).map_err(|e| NetError::io("binding listener", &e))?;
     let addr = listener
         .local_addr()
@@ -358,7 +334,6 @@ pub fn serve_with(
     let shared = Arc::new(Shared {
         cdss: RwLock::new(cdss),
         reader,
-        locked_reads: options.locked_reads,
         ingest: Mutex::new(Ingest::default()),
         obs: ServerObs::new(),
         shutdown: AtomicBool::new(false),
@@ -537,25 +512,14 @@ fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
         Request::ProvenanceOf { relation, tuple } => {
             // Canonical form: remote provenance answers are deterministic
             // regardless of the graph's internal iteration order.
-            if shared.locked_reads {
-                let cdss = shared.read_cdss("provenance-of");
-                let expr = cdss.provenance_of(&relation, &tuple).canonical();
-                Response::Provenance {
-                    expression: expr.to_string(),
-                    derivations: expr.num_derivations() as u64,
-                    derivable: cdss.is_derivable(&relation, &tuple),
-                }
-                .to_bytes()
-            } else {
-                let view = shared.snapshot_view();
-                let expr = view.provenance_of(&relation, &tuple).canonical();
-                Response::Provenance {
-                    expression: expr.to_string(),
-                    derivations: expr.num_derivations() as u64,
-                    derivable: view.is_derivable(&relation, &tuple),
-                }
-                .to_bytes()
+            let view = shared.snapshot_view();
+            let expr = view.provenance_of(&relation, &tuple).canonical();
+            Response::Provenance {
+                expression: expr.to_string(),
+                derivations: expr.num_derivations() as u64,
+                derivable: view.is_derivable(&relation, &tuple),
             }
+            .to_bytes()
         }
         Request::GetTrustPolicy { peer } => {
             let cdss = shared.read_cdss("get-trust-policy");
@@ -664,8 +628,7 @@ fn handle_add_mapping(shared: &Shared, name: &str, text: &str, version: u8) -> V
 /// Answer `QueryLocalWhere` / `QueryCertainWhere`: a filtered scan of the
 /// peer's curated output table in which only matching tuples are cloned
 /// and serialized — the full instance never crosses the wire. Served from
-/// a lock-free snapshot view (or under the read lock with
-/// [`ServeOptions::locked_reads`]), like the unbound queries.
+/// a lock-free snapshot view, like the unbound queries.
 fn handle_query_where(
     shared: &Shared,
     peer: &str,
@@ -683,24 +646,11 @@ fn handle_query_where(
             ),
         );
     }
-    let answers = if shared.locked_reads {
-        let cdss = shared.read_cdss(if certain {
-            "query-certain-where"
-        } else {
-            "query-local-where"
-        });
-        if certain {
-            cdss.query_certain_bound(peer, relation, binding)
-        } else {
-            cdss.query_local_bound(peer, relation, binding)
-        }
+    let view = shared.snapshot_view();
+    let answers = if certain {
+        view.query_certain_bound(peer, relation, binding)
     } else {
-        let view = shared.snapshot_view();
-        if certain {
-            view.query_certain_bound(peer, relation, binding)
-        } else {
-            view.query_local_bound(peer, relation, binding)
-        }
+        view.query_local_bound(peer, relation, binding)
     };
     match answers {
         Ok(tuples) => encode_tuples_response(tuples.len(), tuples.iter(), version),
@@ -738,19 +688,9 @@ fn handle_provenance_page(
         );
     }
     let limit = (limit as usize).max(1);
-    let (epoch, neighbors) = if shared.locked_reads {
-        let cdss = shared.read_cdss("provenance-page");
-        (
-            cdss.snapshot_epoch(),
-            cdss.provenance_neighbors(relation, tuple, direction),
-        )
-    } else {
-        let view = shared.snapshot_view();
-        (
-            view.epoch(),
-            view.provenance_neighbors(relation, tuple, direction),
-        )
-    };
+    let view = shared.snapshot_view();
+    let epoch = view.epoch();
+    let neighbors = view.provenance_neighbors(relation, tuple, direction);
     let offset = match token {
         None => 0,
         Some(t) => match parse_page_token(t) {
@@ -783,10 +723,9 @@ fn handle_provenance_page(
 
 /// Answer `QueryLocal` / `QueryCertain`: serialize the (sorted) answer
 /// straight from borrowed tuples — only references move, the relation
-/// itself is never copied. The default path borrows from a lock-free
+/// itself is never copied. The tuples are borrowed from a lock-free
 /// snapshot view (a whole-epoch instance, isolated from any concurrent
-/// exchange); with [`ServeOptions::locked_reads`] it borrows under the
-/// read lock instead.
+/// exchange).
 fn handle_query(
     shared: &Shared,
     peer: &str,
@@ -794,27 +733,6 @@ fn handle_query(
     certain: bool,
     version: u8,
 ) -> Vec<u8> {
-    if shared.locked_reads {
-        let cdss = shared.read_cdss(if certain {
-            "query-certain"
-        } else {
-            "query-local"
-        });
-        let collected: std::result::Result<Vec<_>, _> = if certain {
-            cdss.certain_answers_iter(peer, relation)
-                .map(Iterator::collect)
-        } else {
-            cdss.local_instance_iter(peer, relation)
-                .map(Iterator::collect)
-        };
-        return match collected {
-            Ok(mut tuples) => {
-                tuples.sort();
-                encode_tuples_response(tuples.len(), tuples.into_iter(), version)
-            }
-            Err(e) => cdss_error_response(&e),
-        };
-    }
     let view = shared.snapshot_view();
     let collected: std::result::Result<Vec<_>, _> = if certain {
         view.certain_answers_iter(peer, relation)
@@ -950,60 +868,32 @@ fn handle_stats(shared: &Shared, version: u8) -> Vec<u8> {
     // The server-side counters come from the obs registry in one place, so
     // the `Stats` frame and the `Metrics` exposition can never disagree.
     let (requests, connections, snapshot_reads) = shared.obs.stats_counters();
-    let stats = if shared.locked_reads {
-        let cdss = shared.read_cdss("stats");
-        let peers = cdss.peer_ids();
-        let relations: usize = peers
-            .iter()
-            .map(|p| cdss.peer(p).map(|peer| peer.relations.len()).unwrap_or(0))
-            .sum();
-        ServerStats {
-            peers: peers.len() as u64,
-            relations: relations as u64,
-            total_tuples: cdss.instance_stats().total_tuples as u64,
-            output_tuples: cdss.total_output_tuples() as u64,
-            pending_batches: shared.lock_ingest("stats").batches.len() as u64,
-            epoch: cdss.current_epoch(),
-            connections,
-            intern_hits: cdss.intern_stats().hits,
-            intern_misses: cdss.intern_stats().misses,
-            plan_cache_hits: cdss.plan_cache_hits(),
-            pool_values: cdss.intern_stats().distinct,
-            pool_live_values: cdss.pool_live_values() as u64,
-            pool_compactions: cdss.compactions_run(),
-            snapshot_epoch: cdss.snapshot_epoch(),
-            snapshots_published: cdss.snapshots_published(),
-            snapshot_reads,
-            requests,
-        }
-    } else {
-        // Instance counters come from the view (consistent as of its
-        // epoch); queue depth, connection and request counters are live.
-        let view = shared.snapshot_view();
-        let peers = view.peer_ids();
-        let relations: usize = peers
-            .iter()
-            .map(|p| view.peer(p).map(|peer| peer.relations.len()).unwrap_or(0))
-            .sum();
-        ServerStats {
-            peers: peers.len() as u64,
-            relations: relations as u64,
-            total_tuples: view.total_tuples() as u64,
-            output_tuples: view.total_output_tuples() as u64,
-            pending_batches: shared.lock_ingest("stats").batches.len() as u64,
-            epoch: view.durable_epoch(),
-            connections,
-            intern_hits: view.intern_stats().hits,
-            intern_misses: view.intern_stats().misses,
-            plan_cache_hits: view.plan_cache_hits(),
-            pool_values: view.intern_stats().distinct,
-            pool_live_values: view.pool_live_values() as u64,
-            pool_compactions: view.compactions_run(),
-            snapshot_epoch: view.epoch(),
-            snapshots_published: view.snapshots_published(),
-            snapshot_reads,
-            requests,
-        }
+    // Instance counters come from the view (consistent as of its epoch);
+    // queue depth, connection and request counters are live.
+    let view = shared.snapshot_view();
+    let peers = view.peer_ids();
+    let relations: usize = peers
+        .iter()
+        .map(|p| view.peer(p).map(|peer| peer.relations.len()).unwrap_or(0))
+        .sum();
+    let stats = ServerStats {
+        peers: peers.len() as u64,
+        relations: relations as u64,
+        total_tuples: view.total_tuples() as u64,
+        output_tuples: view.total_output_tuples() as u64,
+        pending_batches: shared.lock_ingest("stats").batches.len() as u64,
+        epoch: view.durable_epoch(),
+        connections,
+        intern_hits: view.intern_stats().hits,
+        intern_misses: view.intern_stats().misses,
+        plan_cache_hits: view.plan_cache_hits(),
+        pool_values: view.intern_stats().distinct,
+        pool_live_values: view.pool_live_values() as u64,
+        pool_compactions: view.compactions_run(),
+        snapshot_epoch: view.epoch(),
+        snapshots_published: view.snapshots_published(),
+        snapshot_reads,
+        requests,
     };
     Response::Stats(stats).to_bytes_versioned(version)
 }

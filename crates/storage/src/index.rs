@@ -1,9 +1,9 @@
 //! ID-addressed hash indexes over column subsets of a relation.
 //!
-//! The Tukwila-style pipelined execution backend (paper §5.2) relies on
-//! being able to probe a relation by a bound subset of its columns while
-//! joining rule bodies; the DB2-style batch backend builds the same indexes
-//! lazily per rule application. Both are served by [`HashIndex`].
+//! The join engine (Tukwila-style, paper §5.2) relies on being able to
+//! probe a relation by a bound subset of its columns while joining rule
+//! bodies; [`HashIndex`] serves that, both as persistent indexes maintained
+//! on the relation and as throwaway indexes over large delta sets.
 //!
 //! The index is deliberately **zero-copy**: it never stores tuples or even
 //! projected key values. Each entry maps the *bucket hash* of a tuple's
@@ -15,8 +15,7 @@
 //! [`value_hash`](crate::pool::value_hash)es), so the same bucket is
 //! reachable from three kinds of keys without translation:
 //!
-//! * a `&[Value]` / `&[&Value]` probe key (hash each value) — the legacy
-//!   value pipeline and ad-hoc selections;
+//! * a `&[Value]` probe key (hash each value) — ad-hoc selections;
 //! * a `&[ValueId]` probe key plus the owning [`ValuePool`] (read each
 //!   cached hash) — the interned join pipeline's fast path;
 //! * a precombined `u64` via [`HashIndex::probe_hash`] when the caller
@@ -34,8 +33,7 @@ use crate::pool::{combine_hashes, value_hash, ValueId, ValuePool};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// A stable identifier of a tuple inside one [`crate::Relation`]'s slab (or,
-/// for throwaway delta indexes, an offset into a delta slice).
+/// A stable identifier of a tuple inside one [`crate::Relation`]'s slab.
 ///
 /// Ids are relation-local: they are assigned on insertion, stay valid until
 /// the tuple is removed, and may be reused afterwards. They are `u32` so id
@@ -216,9 +214,8 @@ impl HashIndex {
     }
 
     /// Create an empty index with bucket capacity reserved for roughly
-    /// `capacity` entries — throwaway per-application indexes (batch
-    /// backend, large delta sets) know their size up front and skip the
-    /// rehash-doubling cascade this way.
+    /// `capacity` entries — throwaway indexes over large delta sets know
+    /// their size up front and skip the rehash-doubling cascade this way.
     pub fn with_capacity(columns: Vec<usize>, capacity: usize) -> Self {
         HashIndex {
             columns,
@@ -337,12 +334,6 @@ impl HashIndex {
         self.probe_hash(combine_hashes(key.iter().map(value_hash)))
     }
 
-    /// Like [`HashIndex::probe_ids`] but for a key assembled from borrowed
-    /// values (the legacy join pipeline's scratch key holds `&Value`s).
-    pub fn probe_ids_ref(&self, key: &[&Value]) -> &[TupleId] {
-        self.probe_hash(combine_hashes(key.iter().map(|v| value_hash(v))))
-    }
-
     /// Like [`HashIndex::probe_ids`] but for an interned key, reading
     /// cached hashes from the pool.
     pub fn probe_row(&self, key: &[ValueId], pool: &ValuePool) -> &[TupleId] {
@@ -401,16 +392,6 @@ mod tests {
         assert_eq!(probe_verified(&idx, &tuples, &k).len(), 2);
         let k = [Value::int(1), Value::int(10)];
         assert_eq!(probe_verified(&idx, &tuples, &k).len(), 0);
-    }
-
-    #[test]
-    fn probe_by_ref_key_agrees_with_owned_key() {
-        let tuples = [int_tuple(&[7, 1]), int_tuple(&[7, 2]), int_tuple(&[8, 3])];
-        let idx = HashIndex::build_from(vec![0], ids(&tuples));
-        let owned = [Value::int(7)];
-        let refs: Vec<&Value> = owned.iter().collect();
-        assert_eq!(idx.probe_ids(&owned), idx.probe_ids_ref(&refs));
-        assert_eq!(idx.probe_ids(&owned).len(), 2);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! Everything else (the set-semantics lookup table and every secondary
 //! [`HashIndex`]) refers to tuples by id.
 //!
-//! The two representations serve two pipelines:
+//! The two representations serve two kinds of reader:
 //!
 //! * value-keyed APIs ([`Relation::contains`], [`Relation::remove`],
 //!   [`Relation::iter`], [`Relation::select_eq_ref`]) read the slab and need
-//!   no pool — they keep working for borrowed `&Tuple` consumers;
-//! * the interned join pipeline reads `&[ValueId]` rows
+//!   no pool — they serve borrowed `&Tuple` consumers (edits, queries,
+//!   provenance);
+//! * the join pipeline reads `&[ValueId]` rows
 //!   ([`Relation::row`], [`Relation::iter_rows`]) and tests duplicate head
 //!   derivations with [`Relation::contains_row_hashed`] — integer compares
 //!   against cached hashes, no value is touched and nothing allocates.
@@ -59,9 +60,9 @@ pub struct Relation {
     /// Number of live tuples.
     live: usize,
     /// Monotone content version: incremented by every successful insert,
-    /// remove, and clear. External caches (e.g. the evaluator's throwaway
-    /// join indexes) use it as a staleness stamp — unlike `len`, it cannot
-    /// return to a previous value after a delete/insert pair.
+    /// remove, and clear. External caches can use it as a staleness stamp —
+    /// unlike `len`, it cannot return to a previous value after a
+    /// delete/insert pair.
     version: u64,
     indexes: HashMap<Vec<usize>, HashIndex>,
 }
@@ -139,15 +140,9 @@ impl Relation {
 
     /// Does the relation contain a tuple with exactly these values? Unlike
     /// [`Relation::contains`] this needs no `Tuple` allocation, so callers
-    /// can test negated literals and duplicate derivations from a scratch
-    /// buffer.
-    pub fn contains_values(&self, values: &[Value]) -> bool {
-        self.find_id(crate::tuple::values_hash(values), values)
-            .is_some()
-    }
-
-    /// Like [`Relation::contains_values`] but with the caller supplying the
-    /// precomputed [`crate::tuple::values_hash`], so a subsequent
+    /// can test duplicate derivations from a scratch buffer. The caller
+    /// supplies the precomputed [`crate::tuple::values_hash`], so a
+    /// subsequent
     /// [`Tuple::from_prehashed`](crate::tuple::Tuple::from_prehashed)
     /// construction reuses the same hash — one content hash per derived
     /// row, total.
@@ -541,8 +536,8 @@ impl Relation {
     /// → new id; see [`ValuePool::compact`]). Dead slots are reset to
     /// [`ValueId::NONE`] so a stale pre-compaction id can never alias a
     /// post-compaction value, and the content version is bumped so external
-    /// caches stamped against this relation (throwaway join indexes) cannot
-    /// observe pre-compaction ids.
+    /// caches stamped against this relation cannot observe pre-compaction
+    /// ids.
     ///
     /// The set-semantics lookup table and every secondary [`HashIndex`] key
     /// on **content hashes**, which compaction does not change, and bucket
@@ -889,12 +884,13 @@ mod tests {
     }
 
     #[test]
-    fn contains_values_matches_contains() {
+    fn contains_values_hashed_matches_contains() {
         let (mut r, mut p) = rel();
         r.insert(&mut p, int_tuple(&[3, 5])).unwrap();
-        assert!(r.contains_values(&[Value::int(3), Value::int(5)]));
-        assert!(!r.contains_values(&[Value::int(5), Value::int(3)]));
-        assert!(!r.contains_values(&[Value::int(3)]));
+        let has = |vals: &[Value]| r.contains_values_hashed(crate::tuple::values_hash(vals), vals);
+        assert!(has(&[Value::int(3), Value::int(5)]));
+        assert!(!has(&[Value::int(5), Value::int(3)]));
+        assert!(!has(&[Value::int(3)]));
     }
 
     #[test]

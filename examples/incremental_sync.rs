@@ -10,7 +10,6 @@
 
 use std::time::Instant;
 
-use orchestra_datalog::EngineKind;
 use orchestra_workload::{generate, DatasetKind, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut generated = generate(&config)?;
-    generated.cdss.set_engine(EngineKind::Pipelined);
 
     let start = Instant::now();
     let report = generated.load_base()?;
@@ -70,7 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Re-create the pre-deletion state on a second copy and use DRed there.
     let mut dred_copy = generate(&config)?;
-    dred_copy.cdss.set_engine(EngineKind::Pipelined);
     dred_copy.load_base()?;
     dred_copy.cdss.apply_insertions_incremental(&batch)?;
     let report = dred_copy.cdss.apply_deletions_dred(&deletions)?;

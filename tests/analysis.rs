@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use orchestra_analyze::{Analyzer, Code};
 use orchestra_core::{Cdss, CdssBuilder, CdssError, Tgd};
-use orchestra_datalog::{parse_program, parse_program_spanned, EngineKind, Evaluator};
+use orchestra_datalog::{parse_program, parse_program_spanned, Evaluator};
 use orchestra_net::scenario::example_scenario;
 use orchestra_net::{serve, NetClient, NetError};
 use orchestra_storage::tuple::int_tuple;
@@ -228,7 +228,7 @@ proptest! {
         for (a, b) in &facts {
             db.insert("R0", int_tuple(&[*a, *b])).unwrap();
         }
-        let stats = Evaluator::new(EngineKind::Pipelined)
+        let stats = Evaluator::new()
             .run(&program, &mut db)
             .unwrap();
         // 6 distinct values bound the closure's path length; everything

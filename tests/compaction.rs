@@ -9,14 +9,13 @@
 use proptest::prelude::*;
 
 use orchestra_core::{Cdss, CdssBuilder, CompactionPolicy};
-use orchestra_datalog::EngineKind;
 use orchestra_persist::codec::{Encode, Writer};
 use orchestra_persist::snapshot::{load_snapshot, write_snapshot, SnapshotRef};
 use orchestra_persist::testutil::TempDir;
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::{Database, RelationSchema};
 
-fn example_cdss(engine: EngineKind) -> Cdss {
+fn example_cdss() -> Cdss {
     CdssBuilder::new()
         .add_peer(
             "PGUS",
@@ -28,7 +27,6 @@ fn example_cdss(engine: EngineKind) -> Cdss {
         .add_mapping_str("m2", "G(i, c, n) -> U(n, c)")
         .add_mapping_str("m3", "B(i, n) -> U(n, c)")
         .add_mapping_str("m4", "B(i, c), U(n, c) -> B(i, n)")
-        .engine(engine)
         .build()
         .unwrap()
 }
@@ -74,92 +72,90 @@ proptest! {
 
     /// compact() + snapshot round-trip is observationally identical to the
     /// uncompacted database, and post-compaction exchanges stay in
-    /// lockstep with a never-compacted twin — for both engines.
+    /// lockstep with a never-compacted twin.
     #[test]
     fn compaction_is_observationally_invisible((edits, more_edits) in edits_strategy()) {
-        for engine in EngineKind::all() {
-            let mut compacted = example_cdss(engine);
-            let mut twin = example_cdss(engine);
-            apply_edits(&mut compacted, &edits);
-            apply_edits(&mut twin, &edits);
+        let mut compacted = example_cdss();
+        let mut twin = example_cdss();
+        apply_edits(&mut compacted, &edits);
+        apply_edits(&mut twin, &edits);
 
-            let report = compacted.compact();
-            prop_assert_eq!(report.after, compacted.pool_live_values());
-            prop_assert!(report.after <= report.before);
+        let report = compacted.compact();
+        prop_assert_eq!(report.after, compacted.pool_live_values());
+        prop_assert!(report.after <= report.before);
 
-            // Same local instances (borrowed iterator contents), same
-            // canonical provenance, same derivability.
-            for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
-                let mut via_compacted: Vec<_> = compacted
-                    .local_instance_iter(peer, rel)
-                    .unwrap()
-                    .cloned()
-                    .collect();
-                via_compacted.sort();
-                let mut via_twin: Vec<_> =
-                    twin.local_instance_iter(peer, rel).unwrap().cloned().collect();
-                via_twin.sort();
-                prop_assert_eq!(&via_compacted, &via_twin, "instances differ on {}", rel);
-                for t in &via_compacted {
-                    prop_assert_eq!(
-                        compacted.provenance_of(rel, t).canonical().to_string(),
-                        twin.provenance_of(rel, t).canonical().to_string(),
-                        "provenance of {}{} differs post-compaction", rel, t
-                    );
-                    prop_assert_eq!(
-                        compacted.is_derivable(rel, t),
-                        twin.is_derivable(rel, t)
-                    );
-                }
+        // Same local instances (borrowed iterator contents), same
+        // canonical provenance, same derivability.
+        for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
+            let mut via_compacted: Vec<_> = compacted
+                .local_instance_iter(peer, rel)
+                .unwrap()
+                .cloned()
+                .collect();
+            via_compacted.sort();
+            let mut via_twin: Vec<_> =
+                twin.local_instance_iter(peer, rel).unwrap().cloned().collect();
+            via_twin.sort();
+            prop_assert_eq!(&via_compacted, &via_twin, "instances differ on {}", rel);
+            for t in &via_compacted {
+                prop_assert_eq!(
+                    compacted.provenance_of(rel, t).canonical().to_string(),
+                    twin.provenance_of(rel, t).canonical().to_string(),
+                    "provenance of {}{} differs post-compaction", rel, t
+                );
+                prop_assert_eq!(
+                    compacted.is_derivable(rel, t),
+                    twin.is_derivable(rel, t)
+                );
             }
-
-            // Byte-identical canonical re-encode: compaction only
-            // renumbers in-memory ids, never content.
-            prop_assert_eq!(
-                canonical_bytes(compacted.database()),
-                canonical_bytes(twin.database())
-            );
-
-            // Snapshot round-trip: the on-disk v2 codec is unchanged by
-            // compaction (its dictionary is already content-canonical), so
-            // both databases snapshot to byte-identical files, and the
-            // compacted one reloads equal to itself.
-            let dir = TempDir::new("compaction-prop");
-            let snap_a = dir.path().join("compacted.snapshot");
-            let snap_b = dir.path().join("twin.snapshot");
-            write_snapshot(&snap_a, SnapshotRef {
-                epoch: 0,
-                manifest: &[],
-                db: compacted.database(),
-                pending: &[],
-            }).unwrap();
-            write_snapshot(&snap_b, SnapshotRef {
-                epoch: 0,
-                manifest: &[],
-                db: twin.database(),
-                pending: &[],
-            }).unwrap();
-            prop_assert_eq!(
-                std::fs::read(&snap_a).unwrap(),
-                std::fs::read(&snap_b).unwrap(),
-                "snapshot bytes must not depend on compaction"
-            );
-            let reloaded = load_snapshot(&snap_a).unwrap().unwrap();
-            prop_assert_eq!(&reloaded.db, compacted.database());
-
-            // Keep exchanging after the pass: compiled plans were
-            // invalidated, so the compacted CDSS must track the twin.
-            apply_edits(&mut compacted, &more_edits);
-            apply_edits(&mut twin, &more_edits);
-            prop_assert_eq!(compacted.database(), twin.database());
         }
+
+        // Byte-identical canonical re-encode: compaction only
+        // renumbers in-memory ids, never content.
+        prop_assert_eq!(
+            canonical_bytes(compacted.database()),
+            canonical_bytes(twin.database())
+        );
+
+        // Snapshot round-trip: the on-disk v2 codec is unchanged by
+        // compaction (its dictionary is already content-canonical), so
+        // both databases snapshot to byte-identical files, and the
+        // compacted one reloads equal to itself.
+        let dir = TempDir::new("compaction-prop");
+        let snap_a = dir.path().join("compacted.snapshot");
+        let snap_b = dir.path().join("twin.snapshot");
+        write_snapshot(&snap_a, SnapshotRef {
+            epoch: 0,
+            manifest: &[],
+            db: compacted.database(),
+            pending: &[],
+        }).unwrap();
+        write_snapshot(&snap_b, SnapshotRef {
+            epoch: 0,
+            manifest: &[],
+            db: twin.database(),
+            pending: &[],
+        }).unwrap();
+        prop_assert_eq!(
+            std::fs::read(&snap_a).unwrap(),
+            std::fs::read(&snap_b).unwrap(),
+            "snapshot bytes must not depend on compaction"
+        );
+        let reloaded = load_snapshot(&snap_a).unwrap().unwrap();
+        prop_assert_eq!(&reloaded.db, compacted.database());
+
+        // Keep exchanging after the pass: compiled plans were
+        // invalidated, so the compacted CDSS must track the twin.
+        apply_edits(&mut compacted, &more_edits);
+        apply_edits(&mut twin, &more_edits);
+        prop_assert_eq!(compacted.database(), twin.database());
     }
 
     /// Churn + policy-driven compaction bounds the pool: after the pass the
     /// pool holds exactly the live vocabulary, repeatedly, across rounds.
     #[test]
     fn repeated_compaction_keeps_the_pool_bounded(rounds in 2usize..5, per_round in 5i64..20) {
-        let mut cdss = example_cdss(EngineKind::Pipelined);
+        let mut cdss = example_cdss();
         cdss.set_compaction_policy(CompactionPolicy {
             min_pool_len: 1,
             min_dead_ratio: 0.3,

@@ -1,19 +1,18 @@
 //! Workspace-level integration tests: exercise the full stack (storage →
 //! datalog → mappings → provenance → CDSS → workload generator) the way the
-//! paper's evaluation does, and check cross-strategy / cross-engine
+//! paper's evaluation does, and check cross-strategy
 //! equivalences on realistic generated configurations.
 
 use std::collections::BTreeMap;
 
 use orchestra_core::{Cdss, CdssBuilder, CmpOp, Predicate, TrustPolicy};
 use orchestra_datalog::parser::parse_rule;
-use orchestra_datalog::EngineKind;
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::RelationSchema;
 use orchestra_workload::{generate, DatasetKind, GeneratedCdss, WorkloadConfig};
 
 /// The paper's running example CDSS.
-fn running_example(engine: EngineKind) -> Cdss {
+fn running_example() -> Cdss {
     CdssBuilder::new()
         .add_peer(
             "PGUS",
@@ -25,7 +24,6 @@ fn running_example(engine: EngineKind) -> Cdss {
         .add_mapping_str("m2", "G(i, c, n) -> U(n, c)")
         .add_mapping_str("m3", "B(i, n) -> U(n, c)")
         .add_mapping_str("m4", "B(i, c), U(n, c) -> B(i, n)")
-        .engine(engine)
         .build()
         .expect("the running example is well-formed")
 }
@@ -69,7 +67,7 @@ fn all_instances(cdss: &Cdss) -> BTreeMap<(String, String), Vec<orchestra_storag
 
 #[test]
 fn paper_example_certain_answers_and_queries() {
-    let mut cdss = running_example(EngineKind::Pipelined);
+    let mut cdss = running_example();
     load_running_example(&mut cdss);
 
     assert_eq!(
@@ -86,25 +84,6 @@ fn paper_example_certain_answers_and_queries() {
         cdss.query_certain(&q).unwrap(),
         vec![int_tuple(&[2, 2]), int_tuple(&[3, 3]), int_tuple(&[5, 5])]
     );
-}
-
-#[test]
-fn both_engines_compute_identical_instances_on_generated_workloads() {
-    for dataset in [DatasetKind::Integers, DatasetKind::Strings] {
-        let mut pipelined = small_workload(dataset, 0);
-        pipelined.cdss.set_engine(EngineKind::Pipelined);
-        pipelined.load_base().unwrap();
-
-        let mut batch_engine = small_workload(dataset, 0);
-        batch_engine.cdss.set_engine(EngineKind::Batch);
-        batch_engine.load_base().unwrap();
-
-        assert_eq!(
-            all_instances(&pipelined.cdss),
-            all_instances(&batch_engine.cdss),
-            "engines disagree on {dataset} dataset"
-        );
-    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use orchestra_core::{Cdss, CdssBuilder};
 use orchestra_datalog::reference::run_reference;
-use orchestra_datalog::{parse_program, EngineKind, Evaluator, PlanCache, Program};
+use orchestra_datalog::{parse_program, Evaluator, PlanCache, Program};
 use orchestra_persist::codec::{Encode, Writer};
 use orchestra_pool::Pool;
 use orchestra_storage::tuple::int_tuple;
@@ -103,15 +103,13 @@ fn run_stream(mut eval: Evaluator) -> Vec<u8> {
 /// and the naive reference interpreter all reach byte-identical fixpoints.
 #[test]
 fn fixpoint_bytes_are_worker_count_independent() {
-    for kind in EngineKind::all() {
-        let sequential = run_stream(Evaluator::sequential(kind));
-        for threads in [1usize, 2, 8] {
-            let parallel = run_stream(Evaluator::with_pool(kind, Pool::new(threads)));
-            assert_eq!(
-                parallel, sequential,
-                "engine {kind}: {threads}-worker encode diverges from sequential"
-            );
-        }
+    let sequential = run_stream(Evaluator::sequential());
+    for threads in [1usize, 2, 8] {
+        let parallel = run_stream(Evaluator::with_pool(Pool::new(threads)));
+        assert_eq!(
+            parallel, sequential,
+            "{threads}-worker encode diverges from sequential"
+        );
     }
 
     // The naive reference interpreter (full-stop semantics, no incremental
@@ -128,7 +126,7 @@ fn fixpoint_bytes_are_worker_count_independent() {
     run_reference(&program, &mut oracle).unwrap();
     assert_eq!(
         canonical_bytes(&oracle),
-        run_stream(Evaluator::with_pool(EngineKind::Pipelined, Pool::new(8))),
+        run_stream(Evaluator::with_pool(Pool::new(8))),
         "8-worker fixpoint diverges from the naive reference interpreter"
     );
 }
@@ -229,9 +227,9 @@ fn cdss_exchange_is_worker_count_independent() {
 #[test]
 fn repeated_parallel_fixpoint_is_stable() {
     let pool = Pool::new(8);
-    let first = run_stream(Evaluator::with_pool(EngineKind::Pipelined, pool.clone()));
+    let first = run_stream(Evaluator::with_pool(pool.clone()));
     for round in 0..8 {
-        let again = run_stream(Evaluator::with_pool(EngineKind::Pipelined, pool.clone()));
+        let again = run_stream(Evaluator::with_pool(pool.clone()));
         assert_eq!(again, first, "run {round} diverged on the shared pool");
     }
 }

@@ -6,7 +6,7 @@
 
 use orchestra_core::{Cdss, CdssBuilder, CmpOp, Predicate, TrustPolicy};
 use orchestra_persist::codec::Encode;
-use orchestra_persist::store::WAL_FILE;
+use orchestra_persist::store::{SNAPSHOT_FILE, WAL_FILE};
 use orchestra_persist::testutil::TempDir;
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::RelationSchema;
@@ -198,4 +198,78 @@ fn recovered_cdss_continues_publishing_durably() {
     assert_eq!(report.snapshot_epoch, epoch, "checkpoint took");
     assert_eq!(report.replayed_epochs, 0, "WAL folded into snapshot");
     assert_eq!(again.database().to_bytes(), state);
+}
+
+// ---------------------------------------------------------------------
+// On-disk compatibility with state written while the manifest's engine
+// byte still selected one of two execution backends.
+//
+// `tests/golden/state_engine{0,1}` were written by the last commit that had
+// `CdssBuilder::engine` (0 = Batch, 1 = Pipelined): `build_persistent`, the
+// first two steps of `publish_epochs`, a checkpoint, then the third step —
+// so each holds a snapshot (manifest + store) *and* one epoch to replay.
+// ---------------------------------------------------------------------
+
+/// Copy a golden state dir into a scratch dir (recovery opens the WAL for
+/// appending and may repair it in place).
+fn golden_state(name: &str) -> TempDir {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let dir = TempDir::new(name);
+    for file in [SNAPSHOT_FILE, WAL_FILE] {
+        std::fs::copy(src.join(file), dir.path().join(file)).unwrap();
+    }
+    dir
+}
+
+fn manifest_of(dir: &std::path::Path) -> Vec<u8> {
+    orchestra_persist::snapshot::load_snapshot(dir.join(SNAPSHOT_FILE))
+        .unwrap()
+        .expect("state dir holds a snapshot")
+        .manifest
+}
+
+#[test]
+fn state_written_under_either_former_engine_byte_recovers() {
+    let reference_dir = TempDir::new("itest-golden-ref");
+    let mut reference = build_persistent(reference_dir.path());
+    publish_epochs(&mut reference);
+
+    for name in ["state_engine0", "state_engine1"] {
+        let dir = golden_state(name);
+        let (recovered, report) = Cdss::open_or_recover(dir.path()).unwrap();
+        assert!(report.corrupt_tail.is_none(), "{name}: {report:?}");
+        assert_eq!(
+            report.replayed_epochs, 1,
+            "{name}: one epoch past the snapshot"
+        );
+        assert_eq!(recovered.current_epoch(), reference.current_epoch());
+        assert_eq!(
+            recovered.database().to_bytes(),
+            reference.database().to_bytes(),
+            "{name}: recovered store is byte-identical to a fresh run"
+        );
+    }
+}
+
+#[test]
+fn written_manifest_is_byte_identical_to_the_former_pipelined_one() {
+    let golden0 = manifest_of(golden_state("state_engine0").path());
+    let golden1 = manifest_of(golden_state("state_engine1").path());
+    // The fixtures really differ in the engine byte alone: 0 vs 1.
+    assert_eq!(golden0.len(), golden1.len());
+    let differing: Vec<(u8, u8)> = golden0
+        .iter()
+        .zip(&golden1)
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (*a, *b))
+        .collect();
+    assert_eq!(differing, vec![(0, 1)]);
+
+    let dir = TempDir::new("itest-manifest-compat");
+    let mut cdss = build_persistent(dir.path());
+    publish_epochs(&mut cdss);
+    cdss.checkpoint().unwrap();
+    assert_eq!(manifest_of(dir.path()), golden1);
 }

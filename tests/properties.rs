@@ -12,7 +12,7 @@ use orchestra_core::{Cdss, CdssBuilder};
 use orchestra_datalog::atom::Atom;
 use orchestra_datalog::program::Program;
 use orchestra_datalog::rule::Rule;
-use orchestra_datalog::{EngineKind, Evaluator};
+use orchestra_datalog::Evaluator;
 use orchestra_provenance::{
     BooleanSemiring, CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring,
     TropicalSemiring, WhyProvenance,
@@ -124,7 +124,7 @@ proptest! {
 
 // -----------------------------------------------------------------------
 // Datalog engine: on random edge sets, semi-naive and naive evaluation agree,
-// both engines agree, and incremental insertion equals recomputation.
+// and incremental insertion equals recomputation.
 // -----------------------------------------------------------------------
 
 fn tc_program() -> Program {
@@ -161,18 +161,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn engines_and_strategies_agree_on_transitive_closure(
+    fn strategies_agree_on_transitive_closure(
         edges in prop::collection::vec((0i64..8, 0i64..8), 0..30)
     ) {
         let mut naive_db = edge_db(&edges);
-        Evaluator::new(EngineKind::Batch).run_naive(&tc_program(), &mut naive_db).unwrap();
+        Evaluator::new().run_naive(&tc_program(), &mut naive_db).unwrap();
         let expected = path_tuples(&naive_db);
 
-        for kind in EngineKind::all() {
-            let mut db = edge_db(&edges);
-            Evaluator::new(kind).run(&tc_program(), &mut db).unwrap();
-            prop_assert_eq!(path_tuples(&db), expected.clone());
-        }
+        let mut db = edge_db(&edges);
+        Evaluator::new().run(&tc_program(), &mut db).unwrap();
+        prop_assert_eq!(path_tuples(&db), expected);
     }
 
     #[test]
@@ -182,7 +180,7 @@ proptest! {
     ) {
         // Incremental: compute over base, then propagate extra edges.
         let mut incr = edge_db(&base);
-        let mut eval = Evaluator::new(EngineKind::Pipelined);
+        let mut eval = Evaluator::new();
         eval.run(&tc_program(), &mut incr).unwrap();
         let mut deltas = HashMap::new();
         deltas.insert(
@@ -195,7 +193,7 @@ proptest! {
         let mut all: Vec<(i64, i64)> = base.clone();
         all.extend(extra.iter().copied());
         let mut full = edge_db(&all);
-        Evaluator::new(EngineKind::Pipelined).run(&tc_program(), &mut full).unwrap();
+        Evaluator::new().run(&tc_program(), &mut full).unwrap();
 
         prop_assert_eq!(path_tuples(&incr), path_tuples(&full));
     }
