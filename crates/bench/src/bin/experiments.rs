@@ -12,7 +12,8 @@
 use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{
     check_against_baseline, entry_json, merge_entry, run_magic_gate, run_obs_overhead,
-    run_parallel_gate, run_pool_churn, run_snapshot, run_thread_sweep,
+    run_parallel_gate, run_pool_churn, run_publish_gate, run_publish_scaling, run_snapshot,
+    run_thread_sweep,
 };
 use orchestra_bench::{
     run_fig10, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_fig_recovery, Scale,
@@ -97,6 +98,16 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
     }
     println!("net-latency gate passed: snapshot reads don't stall behind exchanges");
 
+    // Publish-scaling gate: committing a small delta must not cost in
+    // proportion to the size of the relation it touched.
+    match run_publish_gate().verdict() {
+        Ok(line) => println!("publish-scaling gate: {line}"),
+        Err(line) => {
+            eprintln!("PUBLISH SCALING: {line}");
+            return 1;
+        }
+    }
+
     // Parallel speedup gate: the fixpoint engine at max threads must beat
     // the same binary pinned to one worker on the dense transitive-closure
     // workload (skipped with a note on single-core hosts, where no
@@ -143,6 +154,9 @@ fn snapshot_mode(label: &str, out_path: &str, scale: Scale) -> i32 {
     // Query latency under a concurrent exchange (the rows behind the
     // p99-under-exchange CI gate).
     rows.extend(latency_rows(&run_net_latency(scale)));
+    // Publish latency after a 10-tuple delta at 1k / 10k / 100k tuples (the
+    // rows behind the publish-scaling gate).
+    rows.extend(run_publish_scaling());
     println!(
         "{:<36} {:>14} {:>10} {:>12}",
         "workload", "median_ns", "ops", "ns/op"

@@ -607,6 +607,115 @@ pub fn run_parallel_gate(scale: Scale) -> ParallelGate {
     }
 }
 
+/// Relation sizes (tuples) of the publish-scaling measurement.
+pub const PUBLISH_SCALING_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+/// Tuples inserted between two timed publishes.
+const PUBLISH_DELTA: usize = 10;
+/// Timed publishes per run; a run reports their mean.
+const PUBLISH_CYCLES: usize = 50;
+
+/// Snapshot publication latency after a fixed small delta, as a function of
+/// relation size: one indexed relation of `size` tuples is published, then
+/// [`PUBLISH_CYCLES`] times [`PUBLISH_DELTA`] fresh tuples are inserted and
+/// the re-publish alone is timed (it includes dropping the previous epoch,
+/// as a commit does). With chunk-shared storage the publish clones one
+/// pointer per storage chunk and frees the few chunks the delta replaced;
+/// a deep copy of the changed relation would grow with `size`.
+fn publish_after_delta(size: usize) -> SnapshotRow {
+    let mut samples = Vec::with_capacity(SNAPSHOT_RUNS);
+    for _ in 0..SNAPSHOT_RUNS {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("r", &["x", "y"]))
+            .unwrap();
+        for i in 0..size as i64 {
+            db.insert("r", int_tuple(&[i, i % 101])).unwrap();
+        }
+        db.relation_mut("r").unwrap().ensure_index(&[0]).unwrap();
+        let mut store = orchestra_snapshot::SnapshotStore::new();
+        store.publish(&db);
+        let mut next = size as i64;
+        let mut spent = std::time::Duration::ZERO;
+        for _ in 0..PUBLISH_CYCLES {
+            for _ in 0..PUBLISH_DELTA {
+                db.insert("r", int_tuple(&[next, next % 101])).unwrap();
+                next += 1;
+            }
+            let start = Instant::now();
+            std::hint::black_box(store.publish(&db));
+            spent += start.elapsed();
+        }
+        assert_eq!(store.published(), 1 + PUBLISH_CYCLES as u64);
+        samples.push(spent.as_nanos() / PUBLISH_CYCLES as u128);
+    }
+    let med = median_ns(samples);
+    SnapshotRow {
+        workload: format!("publish_scaling/{}k", size / 1000),
+        median_ns: med,
+        ops: 1,
+        ns_per_op: med as f64,
+        runs: SNAPSHOT_RUNS,
+    }
+}
+
+/// The publish-scaling rows, one per size in [`PUBLISH_SCALING_SIZES`].
+pub fn run_publish_scaling() -> Vec<SnapshotRow> {
+    PUBLISH_SCALING_SIZES
+        .iter()
+        .map(|&size| publish_after_delta(size))
+        .collect()
+}
+
+/// Measurements behind the publish-scaling gate: publish latency after a
+/// 10-tuple delta on the smallest and the largest relation of
+/// [`PUBLISH_SCALING_SIZES`].
+#[derive(Debug, Clone)]
+pub struct PublishGate {
+    /// Median nanoseconds per publish on the 1k-tuple relation.
+    pub small_ns: u128,
+    /// Median nanoseconds per publish on the 100k-tuple relation.
+    pub large_ns: u128,
+}
+
+impl PublishGate {
+    /// How much slower the publish of a 100x larger relation may be. The
+    /// publish drops the previous epoch, which releases one pointer per
+    /// storage chunk of the tables the delta wrote (a chunk holds on the
+    /// order of a hundred tuples), so the cost is not flat: this change
+    /// measures 5x, the deep copy it replaced 98x.
+    pub const MAX_RATIO: f64 = 10.0;
+
+    /// Measured ratio of the large publish to the small one.
+    pub fn ratio(&self) -> f64 {
+        self.large_ns as f64 / self.small_ns.max(1) as f64
+    }
+
+    /// Gate verdict: `Ok` with a human-readable line when publication cost
+    /// does not follow relation size.
+    pub fn verdict(&self) -> Result<String, String> {
+        let r = self.ratio();
+        let line = format!(
+            "publishing a 10-tuple delta costs {} ns on 1k tuples and {} ns on 100k ({r:.2}x, limit {:.1}x)",
+            self.small_ns,
+            self.large_ns,
+            Self::MAX_RATIO
+        );
+        if r <= Self::MAX_RATIO {
+            Ok(line)
+        } else {
+            Err(line)
+        }
+    }
+}
+
+/// Run the publish-scaling gate measurements (see [`PublishGate`]).
+pub fn run_publish_gate() -> PublishGate {
+    let rows = run_publish_scaling();
+    PublishGate {
+        small_ns: rows[0].median_ns,
+        large_ns: rows[rows.len() - 1].median_ns,
+    }
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -788,6 +897,26 @@ mod tests {
         assert!(row.median_ns > 0);
         assert!(row.ns_per_op > 0.0);
         assert_eq!(row.runs, SNAPSHOT_RUNS);
+    }
+
+    #[test]
+    fn publish_gate_verdict_logic() {
+        let flat = PublishGate {
+            small_ns: 1_000,
+            large_ns: 2_500,
+        };
+        assert!(flat.verdict().unwrap().contains("2.50x"));
+        // A publish that deep-copies the changed relation scales with it.
+        let linear = PublishGate {
+            small_ns: 1_000,
+            large_ns: 90_000,
+        };
+        assert!(linear.verdict().unwrap_err().contains("90.00x"));
+        // The measurement itself yields one row per size.
+        assert_eq!(
+            publish_after_delta(1_000).workload,
+            "publish_scaling/1k".to_string()
+        );
     }
 
     #[test]

@@ -249,12 +249,13 @@ impl Cdss {
     /// Called at every commit point — after an update exchange commits, a
     /// bulk apply/recomputation finishes, a pool compaction remaps ids, or
     /// a checkpoint lands — and never mid-exchange, so views are always
-    /// whole-epoch instances. O(changed relations): unchanged relations
-    /// are structurally shared with the previous snapshot.
+    /// whole-epoch instances. Copies no relation: unchanged relations are
+    /// shared whole with the previous snapshot, changed ones share every
+    /// full storage chunk the exchange did not write (the written ones were
+    /// copied on first write, counted in `storage_cow_chunk_copies_total`).
     pub(crate) fn publish_snapshot(&self) {
         let _span = orchestra_obs::span("snapshot-publish", "core");
-        let before = self.snapshots.published();
-        self.snapshots.publish(
+        let (minted, chunk_copies) = self.snapshots.publish(
             &self.db,
             self.epoch,
             self.plans.hit_count(),
@@ -262,13 +263,10 @@ impl Cdss {
         );
         // Count content-changing publishes only, mirroring
         // `snapshots_published()` (a no-change publish mints no epoch).
-        // The handle is acquired unconditionally so the series is
+        // The handles are acquired unconditionally so the series are
         // registered (at zero) from the first publication attempt on.
-        let counter = orchestra_obs::counter("snapshot_publishes_total");
-        let minted = self.snapshots.published().saturating_sub(before);
-        if minted > 0 {
-            counter.add(minted);
-        }
+        orchestra_obs::counter("snapshot_publishes_total").add(minted);
+        orchestra_obs::counter("storage_cow_chunk_copies_total").add(chunk_copies);
     }
 
     /// The latest snapshot view: an immutable, whole-epoch read view
@@ -497,10 +495,11 @@ impl Cdss {
         let report = self.db.compact_pool();
         self.plans.invalidate_plans();
         self.compactions_run += 1;
-        // Compaction restamps every rewritten relation (bumping its content
-        // version), so this republish re-clones them: snapshot readers never
-        // observe post-compaction ids through pre-compaction relations or
-        // vice versa. Old views keep their pre-compaction clones and stay
+        // Compaction restamps every rewritten relation (copying the row
+        // chunks a view shares and bumping its content version), so this
+        // republish re-clones them: snapshot readers never observe
+        // post-compaction ids through pre-compaction relations or vice
+        // versa. Old views keep their pre-compaction chunks and stay
         // self-consistent.
         self.publish_snapshot();
         report
@@ -1061,11 +1060,13 @@ fn ensure_node(
 /// input/output tables. Nodes are registered through the graph's
 /// `(RelId, TupleId)` stored-tuple index — tuple ids come for free from the
 /// relations' id iterators, so maintenance probes integers, not payloads.
-/// Filtered scan shared by the live and snapshot bound-query paths:
-/// tuples of `rel` whose columns equal the `Some` entries of `binding`
-/// (with labeled-null tuples dropped when `certain`), sorted. Only
-/// matching tuples are cloned — a point query never materialises the
-/// instance.
+/// Selection shared by the live and snapshot bound-query paths: tuples of
+/// `rel` whose columns equal the `Some` entries of `binding` (with
+/// labeled-null tuples dropped when `certain`), sorted. Goes through
+/// [`orchestra_storage::Relation::select_eq_ref`]: an index probe when an
+/// index covers the bound columns (snapshots carry their relations'
+/// indexes), a filtered scan otherwise. Only matching tuples are cloned — a
+/// point query never materialises the instance.
 pub(crate) fn bound_filtered(
     relation: &str,
     rel: &orchestra_storage::Relation,
@@ -1079,15 +1080,14 @@ pub(crate) fn bound_filtered(
             actual: binding.len(),
         });
     }
-    let mut out: Vec<Tuple> = rel
+    let (columns, key): (Vec<usize>, Vec<Value>) = binding
         .iter()
+        .enumerate()
+        .filter_map(|(i, b)| b.clone().map(|v| (i, v)))
+        .unzip();
+    let mut out: Vec<Tuple> = rel
+        .select_eq_ref(&columns, &key)
         .filter(|t| !(certain && t.has_labeled_null()))
-        .filter(|t| {
-            binding
-                .iter()
-                .enumerate()
-                .all(|(i, b)| b.as_ref().is_none_or(|v| &t[i] == v))
-        })
         .cloned()
         .collect();
     out.sort();

@@ -59,8 +59,11 @@ pub struct SnapshotView {
     plan_cache_hits: u64,
     compactions_run: u64,
     /// Provenance graph over the snapshot, rebuilt lazily on first
-    /// provenance read (mirrors the live `Cdss`'s lazy graph cache).
-    graph: OnceLock<ProvenanceGraph>,
+    /// provenance read (mirrors the live `Cdss`'s lazy graph cache). The
+    /// cell is shared by every view over the same snapshot and mapping
+    /// system: a publish that changed nothing installs a view with fresh
+    /// counters, not a fresh graph.
+    graph: Arc<OnceLock<ProvenanceGraph>>,
 }
 
 impl SnapshotView {
@@ -325,7 +328,7 @@ impl SnapshotState {
             durable_epoch: 0,
             plan_cache_hits: 0,
             compactions_run: 0,
-            graph: OnceLock::new(),
+            graph: Arc::default(),
         };
         SnapshotState {
             store: Mutex::new(store),
@@ -341,17 +344,26 @@ impl SnapshotState {
     }
 
     /// Publish the database's current state with the given live counters
-    /// and install the resulting view for readers.
+    /// and install the resulting view for readers. Returns how many epochs
+    /// the publish minted (0 when nothing changed, else 1) and how many
+    /// storage chunks it found copied on write since the previous one.
     pub(crate) fn publish(
         &self,
         db: &Database,
         durable_epoch: u64,
         plan_cache_hits: u64,
         compactions_run: u64,
-    ) {
+    ) -> (u64, u64) {
         let mut store = self.store.lock().expect("snapshot store lock");
+        let (published_before, copies_before) = (store.published(), store.cow_chunk_copies());
         let snap = store.publish(db);
         let meta = Arc::clone(&self.meta.lock().expect("snapshot meta lock"));
+        let previous = self.cell.load();
+        let graph = if Arc::ptr_eq(&previous.snap, &snap) && Arc::ptr_eq(&previous.meta, &meta) {
+            Arc::clone(&previous.graph)
+        } else {
+            Arc::default()
+        };
         let view = SnapshotView {
             snap,
             meta,
@@ -359,9 +371,13 @@ impl SnapshotState {
             durable_epoch,
             plan_cache_hits,
             compactions_run,
-            graph: OnceLock::new(),
+            graph,
         };
         self.cell.store(Arc::new(view));
+        (
+            store.published() - published_before,
+            store.cow_chunk_copies() - copies_before,
+        )
     }
 
     /// Number of content-changing publishes so far.
@@ -389,3 +405,57 @@ const _: () = {
     assert_send_sync::<SnapshotView>();
     assert_send_sync::<SnapshotReader>()
 };
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use orchestra_storage::tuple::int_tuple;
+    use orchestra_storage::RelationSchema;
+
+    use crate::builder::CdssBuilder;
+
+    #[test]
+    fn noop_publishes_keep_the_provenance_graph() {
+        let mut cdss = CdssBuilder::new()
+            .add_peer(
+                "PGUS",
+                vec![RelationSchema::new("G", &["id", "can", "nam"])],
+            )
+            .add_peer("PBioSQL", vec![RelationSchema::new("B", &["id", "nam"])])
+            .add_mapping_str("m1", "G(i, c, n) -> B(i, n)")
+            .build()
+            .unwrap();
+        cdss.insert_local("PGUS", "G", int_tuple(&[1, 2, 3]))
+            .unwrap();
+        cdss.update_exchange("PGUS").unwrap();
+
+        let first = cdss.snapshot();
+        assert!(first.graph.get().is_none(), "the graph is built lazily");
+        assert!(!first.provenance_of("B", &int_tuple(&[1, 3])).is_zero());
+
+        // Nothing changed: `snapshot()` installs a new view over the same
+        // `DbSnapshot`, and that view must come with the graph already
+        // built rather than rebuild it on its first provenance read.
+        let second = cdss.snapshot();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(first.epoch(), second.epoch());
+        assert!(
+            second.graph.get().is_some(),
+            "no-op publish dropped the graph"
+        );
+        assert!(std::ptr::eq(first.graph(), second.graph()));
+        // The reader handle and checkpoint-style republishes go the same way.
+        let via_reader = cdss.snapshot_reader().latest();
+        assert!(std::ptr::eq(first.graph(), via_reader.graph()));
+
+        // A content change gets a fresh (unbuilt) graph; old views keep theirs.
+        cdss.insert_local("PGUS", "G", int_tuple(&[4, 5, 6]))
+            .unwrap();
+        cdss.update_exchange("PGUS").unwrap();
+        let third = cdss.snapshot();
+        assert!(third.graph.get().is_none());
+        assert!(first.provenance_of("B", &int_tuple(&[4, 6])).is_zero());
+        assert!(!third.provenance_of("B", &int_tuple(&[4, 6])).is_zero());
+    }
+}

@@ -875,7 +875,6 @@ fn merge_round_outputs(
             _ => vec![true; total],
         };
         let (rel, vpool) = db.relation_and_pool_mut(head)?;
-        rel.reserve(total);
         let mut fresh = Vec::new();
         let mut gi = 0usize;
         for batch in batches {

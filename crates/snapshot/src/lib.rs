@@ -13,18 +13,28 @@
 //! threads fetch the latest snapshot through a [`SnapshotHandle`] without
 //! taking a lock.
 //!
-//! Publishing is **O(changed relations), not O(database)**: the store
-//! remembers, per relation, the [`Relation::version`] it last cloned at,
-//! and a new snapshot re-clones only relations whose version moved —
-//! unchanged relations are structurally shared between consecutive
-//! snapshots via `Arc`. A cloned [`Relation`] carries its interned rows,
-//! `TupleId` slab and indexes with it, so a snapshot answers every
-//! value-keyed read (`contains`, `iter`, `sorted_tuples`,
-//! `certain_tuples`, …) without consulting the owner's `ValuePool` — which
-//! is what keeps old snapshots valid across pool compactions: a
-//! compaction bumps every rewritten relation's version, so the *next*
-//! publish re-clones them, while already-published snapshots keep their
-//! pre-compaction rows and ids self-consistently.
+//! Publishing is **O(storage written since the last publish)**, not
+//! O(database) and not O(size of the changed relations): a
+//! [`Relation`] is a persistent structure — its tuple slab, interned-row
+//! arena, lookup table and secondary indexes are split into fixed-size
+//! chunks shared copy-on-write between clones — so a new snapshot takes
+//! `Relation::clone` (a handful of pointers, plus the partly filled last
+//! chunk of the slab and the arena) of each relation whose
+//! [`Relation::version`] moved, and shares the previous snapshot's
+//! `Arc<Relation>` for the rest. The copying itself happened earlier and
+//! only where the writer wrote: the first write to a chunk a snapshot still
+//! holds copies that chunk. Dropping an old snapshot frees only the chunks
+//! it alone held.
+//!
+//! A cloned [`Relation`] carries its interned rows, `TupleId` slab and
+//! indexes with it, so a snapshot answers every value-keyed read
+//! (`contains`, `iter`, `sorted_tuples`, `certain_tuples`,
+//! `select_eq_ref`, …) without consulting the owner's `ValuePool` — which
+//! is what keeps old snapshots valid across pool compactions: a compaction
+//! rewrites the live relations' row chunks (copying those a snapshot
+//! shares) and bumps their versions, so the *next* publish re-clones them,
+//! while already-published snapshots keep their pre-compaction rows and ids
+//! self-consistently.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,7 +43,6 @@
 
 pub mod cell;
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use orchestra_storage::{Database, PoolStats, Relation, RelationSource};
@@ -43,14 +52,19 @@ pub use cell::ArcCell;
 /// An immutable snapshot of a database at one publish epoch.
 ///
 /// Relations are held by `Arc` and shared with the snapshots before and
-/// after wherever their content did not change. The snapshot carries no
+/// after wherever their content did not change; where it did, the two
+/// epochs' relations still share every storage chunk the writer left
+/// alone. The snapshot carries no
 /// `ValuePool`: every read API of [`Relation`] is value-keyed and
 /// self-contained, so the snapshot stays valid even after the live pool
 /// is compacted and its `ValueId`s remapped.
 #[derive(Debug)]
 pub struct DbSnapshot {
     epoch: u64,
-    relations: BTreeMap<String, Arc<Relation>>,
+    /// Sorted by relation name (the order [`Database::relations`] yields),
+    /// so lookups binary-search on the name each relation already carries
+    /// and a publish allocates no key per relation.
+    relations: Vec<Arc<Relation>>,
     pool_stats: PoolStats,
     pool_len: usize,
     live_values: OnceLock<usize>,
@@ -60,7 +74,7 @@ impl DbSnapshot {
     fn empty() -> Self {
         DbSnapshot {
             epoch: 0,
-            relations: BTreeMap::new(),
+            relations: Vec::new(),
             pool_stats: PoolStats::default(),
             pool_len: 0,
             live_values: OnceLock::new(),
@@ -75,7 +89,14 @@ impl DbSnapshot {
 
     /// Look up a relation by its internal name.
     pub fn lookup(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name).map(Arc::as_ref)
+        self.shared(name).map(Arc::as_ref)
+    }
+
+    fn shared(&self, name: &str) -> Option<&Arc<Relation>> {
+        self.relations
+            .binary_search_by(|rel| rel.name().cmp(name))
+            .ok()
+            .map(|i| &self.relations[i])
     }
 
     /// Number of relations captured.
@@ -85,12 +106,12 @@ impl DbSnapshot {
 
     /// Iterate over the captured relations.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values().map(Arc::as_ref)
+        self.relations.iter().map(Arc::as_ref)
     }
 
     /// Total number of tuples across all captured relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(|r| r.len()).sum()
+        self.relations.iter().map(|r| r.len()).sum()
     }
 
     /// Intern-pool counters of the owning database, as of this snapshot's
@@ -101,12 +122,11 @@ impl DbSnapshot {
 
     /// Number of pool ids referenced by live rows of this snapshot (the
     /// snapshot's live vocabulary). The O(rows) scan runs at most once per
-    /// snapshot, on first use — **not** at publish time, which stays
-    /// O(changed relations).
+    /// snapshot, on first use — **not** at publish time.
     pub fn live_value_count(&self) -> usize {
         *self.live_values.get_or_init(|| {
             let mut live = vec![false; self.pool_len];
-            for rel in self.relations.values() {
+            for rel in &self.relations {
                 rel.mark_live_values(&mut live);
             }
             live.iter().filter(|&&l| l).count()
@@ -136,17 +156,18 @@ impl SnapshotHandle {
     }
 }
 
-/// The publisher side: owns the per-relation version cache that makes
-/// publishing copy-on-write, and the swap cell readers load from.
+/// The publisher side: owns the swap cell readers load from. The latest
+/// published snapshot doubles as the publish cache — a relation whose
+/// [`Relation::version`] still equals its published clone's is shared
+/// again, not re-cloned.
 ///
 /// One `SnapshotStore` belongs to one database owner (the CDSS); it is
 /// `&mut` at publish time, which the owner's commit points naturally are.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    /// Per-relation `(version, shared clone)` of the last publish.
-    cache: BTreeMap<String, (u64, Arc<Relation>)>,
     cell: Arc<ArcCell<DbSnapshot>>,
     published: u64,
+    cow_chunk_copies: u64,
 }
 
 impl Default for SnapshotStore {
@@ -159,9 +180,9 @@ impl SnapshotStore {
     /// A store whose latest snapshot is the empty epoch-0 snapshot.
     pub fn new() -> Self {
         SnapshotStore {
-            cache: BTreeMap::new(),
             cell: Arc::new(ArcCell::new(Arc::new(DbSnapshot::empty()))),
             published: 0,
+            cow_chunk_copies: 0,
         }
     }
 
@@ -183,36 +204,41 @@ impl SnapshotStore {
         self.published
     }
 
+    /// Storage chunks the writer copied on write
+    /// ([`Relation::cow_chunk_copies`]) between consecutive publishes,
+    /// summed over every publish so far: the copy work structural sharing
+    /// did *not* avoid. Folded from the relations' plain counters at
+    /// publish time.
+    pub fn cow_chunk_copies(&self) -> u64 {
+        self.cow_chunk_copies
+    }
+
     /// Publish the database's current state. Relations whose
     /// [`Relation::version`] is unchanged since the previous publish are
-    /// shared with it; only changed (or new) relations are cloned. When
-    /// *nothing* changed the previous snapshot is returned as-is and no
-    /// new epoch is minted.
+    /// shared with it; changed (or new) relations are cloned, which shares
+    /// every full storage chunk. When *nothing* changed the previous
+    /// snapshot is returned as-is and no new epoch is minted.
     pub fn publish(&mut self, db: &Database) -> Arc<DbSnapshot> {
-        let mut changed = false;
-        let mut relations = BTreeMap::new();
+        let previous = self.cell.load();
+        let mut changed = previous.relations.len() != db.relation_count();
+        let mut relations = Vec::with_capacity(db.relation_count());
+        // Both sides are in name order, so one forward walk pairs them up.
+        let mut old = previous.relations.iter().peekable();
         for rel in db.relations() {
-            let name = rel.name();
-            match self.cache.get(name) {
-                Some((version, arc)) if *version == rel.version() => {
-                    relations.insert(name.to_string(), Arc::clone(arc));
-                }
+            while old.next_if(|o| o.name() < rel.name()).is_some() {}
+            let published = old.next_if(|o| o.name() == rel.name());
+            relations.push(match published {
+                Some(arc) if arc.version() == rel.version() => Arc::clone(arc),
                 _ => {
                     changed = true;
-                    let arc = Arc::new(rel.snapshot_clone());
-                    self.cache
-                        .insert(name.to_string(), (rel.version(), Arc::clone(&arc)));
-                    relations.insert(name.to_string(), arc);
+                    let copied_before = published.map_or(0, |arc| arc.cow_chunk_copies());
+                    self.cow_chunk_copies += rel.cow_chunk_copies().saturating_sub(copied_before);
+                    Arc::new(rel.clone())
                 }
-            }
-        }
-        // Dropped relations: forget their cache entries and re-publish.
-        if self.cache.len() != relations.len() {
-            changed = true;
-            self.cache.retain(|name, _| relations.contains_key(name));
+            });
         }
         if !changed {
-            return self.cell.load();
+            return previous;
         }
         self.published += 1;
         let snapshot = Arc::new(DbSnapshot {
@@ -267,19 +293,58 @@ mod tests {
         let second = store.publish(&db);
         assert_eq!(second.epoch(), 2);
         // `b` did not change: both snapshots hold the same allocation.
-        assert!(Arc::ptr_eq(
-            &store.cache["b"].1,
-            store.cache.get("b").map(|(_, a)| a).unwrap()
-        ));
-        let b1 = first.relations.get("b").unwrap();
-        let b2 = second.relations.get("b").unwrap();
+        let b1 = first.shared("b").unwrap();
+        let b2 = second.shared("b").unwrap();
         assert!(Arc::ptr_eq(b1, b2), "unchanged relation was re-cloned");
         // `a` changed: distinct allocations, old snapshot unaffected.
-        let a1 = first.relations.get("a").unwrap();
-        let a2 = second.relations.get("a").unwrap();
+        let a1 = first.shared("a").unwrap();
+        let a2 = second.shared("a").unwrap();
         assert!(!Arc::ptr_eq(a1, a2));
         assert_eq!(a1.len(), 1);
         assert_eq!(a2.len(), 2);
+    }
+
+    #[test]
+    fn a_small_delta_shares_all_but_a_few_chunks_of_a_large_relation() {
+        let mut store = SnapshotStore::new();
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("r", &["x", "y"]))
+            .unwrap();
+        for i in 0..10_000 {
+            db.insert("r", int_tuple(&[i, i % 97])).unwrap();
+        }
+        db.relation_mut("r").unwrap().ensure_index(&[1]).unwrap();
+        let first = store.publish(&db);
+        assert_eq!(store.cow_chunk_copies(), 0, "nothing was shared yet");
+
+        for i in 10_000..10_010 {
+            db.insert("r", int_tuple(&[i, i % 97])).unwrap();
+        }
+        let second = store.publish(&db);
+        let (old, new) = (first.lookup("r").unwrap(), second.lookup("r").unwrap());
+        let (shared, total) = new.chunks_shared_with(old);
+        // Each insert writes one lookup-table segment and one index
+        // segment; appends land in the partly filled last slab and row
+        // chunks, which every clone owns outright.
+        let unshared = total - shared;
+        assert!(
+            total > 100,
+            "a 10k-tuple relation spans many chunks ({total})"
+        );
+        assert!(
+            (1..=10 + 10).contains(&unshared),
+            "{unshared} of {total} chunks unshared after a 10-tuple delta"
+        );
+        // The publish's fold counts exactly those copies.
+        assert_eq!(store.cow_chunk_copies(), unshared as u64);
+        // The old epoch still reads its old contents, index included.
+        assert_eq!(old.len(), 10_000);
+        assert!(!old.contains(&int_tuple(&[10_003, 10_003 % 97])));
+        assert!(new.contains(&int_tuple(&[10_003, 10_003 % 97])));
+        let key = [orchestra_storage::Value::int(10_003 % 97)];
+        let old_hits = old.select_eq_ref(&[1], &key).count();
+        assert_eq!(new.select_eq_ref(&[1], &key).count(), old_hits + 1);
+        assert!(old.index(&[1]).is_some(), "snapshots carry their indexes");
     }
 
     #[test]

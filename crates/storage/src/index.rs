@@ -26,9 +26,7 @@
 //! bound columns against each candidate tuple** (the join pipeline does
 //! this anyway, so verification is free).
 
-use std::collections::HashMap;
-
-use crate::fxhash::IdBuildHasher;
+use crate::cow::IdTable;
 use crate::pool::{combine_hashes, value_hash, ValueId, ValuePool};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -194,10 +192,14 @@ impl IdVec {
 /// A hash index mapping the bucket hash of a tuple's projection onto a
 /// fixed set of column positions to the ids of tuples with that projection
 /// hash. See the module docs for the hashing scheme and collision contract.
+///
+/// The buckets live in the same segmented copy-on-write table as a
+/// relation's set-semantics lookup, so `Clone` is a pointer copy and an
+/// index travels with every snapshot of its relation.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     columns: Vec<usize>,
-    map: HashMap<u64, IdVec, IdBuildHasher>,
+    map: IdTable,
     len: usize,
 }
 
@@ -219,7 +221,7 @@ impl HashIndex {
     pub fn with_capacity(columns: Vec<usize>, capacity: usize) -> Self {
         HashIndex {
             columns,
-            map: HashMap::with_capacity_and_hasher(capacity, IdBuildHasher::default()),
+            map: IdTable::with_capacity(capacity),
             len: 0,
         }
     }
@@ -290,15 +292,13 @@ impl HashIndex {
 
     /// Insert a tuple's id into the index, hashing the projected values.
     pub fn insert(&mut self, id: TupleId, tuple: &Tuple) {
-        let h = self.hash_of(tuple);
-        self.map.entry(h).or_default().push(id);
+        self.map.push(self.hash_of(tuple), id);
         self.len += 1;
     }
 
     /// Insert an interned row's id into the index via cached hashes.
     pub fn insert_row(&mut self, id: TupleId, row: &[ValueId], pool: &ValuePool) {
-        let h = self.hash_of_row(row, pool);
-        self.map.entry(h).or_default().push(id);
+        self.map.push(self.hash_of_row(row, pool), id);
         self.len += 1;
     }
 
@@ -306,16 +306,9 @@ impl HashIndex {
     /// present; `len` only shrinks when it actually was (so a double-remove
     /// cannot underflow the bookkeeping).
     pub fn remove(&mut self, id: TupleId, tuple: &Tuple) -> bool {
-        let h = self.hash_of(tuple);
-        let Some(bucket) = self.map.get_mut(&h) else {
-            return false;
-        };
-        let removed = bucket.swap_remove_id(id);
+        let removed = self.map.remove(self.hash_of(tuple), id);
         if removed {
             self.len -= 1;
-            if bucket.is_empty() {
-                self.map.remove(&h);
-            }
         }
         removed
     }
@@ -324,7 +317,7 @@ impl HashIndex {
     /// that fold probe keys themselves (the interned join pipeline).
     #[inline]
     pub fn probe_hash(&self, hash: u64) -> &[TupleId] {
-        self.map.get(&hash).map(IdVec::as_slice).unwrap_or(&[])
+        self.map.get(hash)
     }
 
     /// Ids of tuples whose projection onto the indexed columns *hashes* like
@@ -344,6 +337,21 @@ impl HashIndex {
     pub fn clear(&mut self) {
         self.map.clear();
         self.len = 0;
+    }
+
+    /// Table segments copied on write so far (see
+    /// [`crate::Relation::cow_chunk_copies`]).
+    pub(crate) fn cow_copies(&self) -> u64 {
+        self.map.copies()
+    }
+
+    /// `(shared, total)` segments against another index's table, if there
+    /// is one (see [`crate::Relation::chunks_shared_with`]).
+    pub(crate) fn segments_shared_with(&self, other: Option<&HashIndex>) -> (usize, usize) {
+        match other {
+            Some(other) => self.map.segments_shared_with(&other.map),
+            None => (0, self.map.segment_count()),
+        }
     }
 }
 

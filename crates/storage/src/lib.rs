@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod cow;
 pub mod database;
 pub mod editlog;
 pub mod error;

@@ -3,10 +3,10 @@
 //!
 //! Tuples are stored once, in a slab addressed by [`TupleId`]; alongside the
 //! slab every tuple's **interned row** — its values as dense [`ValueId`]s
-//! into the owning database's [`ValuePool`] — lives in a single
-//! arity-strided arena (`rows`), so a row never costs a per-row allocation.
-//! Everything else (the set-semantics lookup table and every secondary
-//! [`HashIndex`]) refers to tuples by id.
+//! into the owning database's [`ValuePool`] — lives in an arity-strided
+//! arena (`rows`), so a row never costs a per-row allocation. Everything
+//! else (the set-semantics lookup table and every secondary [`HashIndex`])
+//! refers to tuples by id.
 //!
 //! The two representations serve two kinds of reader:
 //!
@@ -20,17 +20,52 @@
 //!   against cached hashes, no value is touched and nothing allocates.
 //!
 //! Only insertion interns, so only the insert APIs take the pool.
+//!
+//! ## Structural sharing
+//!
+//! The slab, the row arena, the lookup table and every index are
+//! copy-on-write containers split into fixed-size pieces (chunks of slots,
+//! segments of the hash tables — see the `cow` module). [`Relation::clone`]
+//! therefore copies one pointer per container, the first write to a piece
+//! a clone still holds copies that piece alone, and a clone keeps reading
+//! exactly the contents it was taken at. This is what makes publishing a
+//! snapshot cost O(pieces written since the last one) rather than O(size).
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
+use crate::cow::{ChunkVec, IdTable, CHUNK_SLOTS};
 use crate::error::StorageError;
-use crate::index::{HashIndex, IdVec, TupleId};
+use crate::index::{HashIndex, TupleId};
 use crate::pool::{ValueId, ValuePool};
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
+
+/// One slab slot: a stored tuple, or a link of the free list threaded
+/// through the dead slots. Keeping the list inside the slots means freeing
+/// and reusing a slot writes only the chunk that write touches anyway, and
+/// cloning a relation copies no free list.
+#[derive(Debug, Clone)]
+enum Slot {
+    Live(Tuple),
+    Free {
+        /// The slot freed before this one, reused after it.
+        next: Option<TupleId>,
+    },
+}
+
+impl Slot {
+    #[inline]
+    fn tuple(&self) -> Option<&Tuple> {
+        match self {
+            Slot::Live(t) => Some(t),
+            Slot::Free { .. } => None,
+        }
+    }
+}
 
 /// An in-memory relation instance: a set of tuples conforming to a schema,
 /// plus any number of secondary hash indexes over column subsets.
@@ -39,24 +74,27 @@ use crate::Result;
 /// relation a tuple is uniquely identified by its values, which is exactly
 /// the property §4.1.2 exploits to use tuple values as provenance tokens for
 /// base data.
+///
+/// `Clone` is cheap and structurally shared (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Relation {
-    schema: RelationSchema,
-    /// Stable tuple slab: `slab[id]` is the tuple with that [`TupleId`], or
-    /// `None` for a freed slot awaiting reuse.
-    slab: Vec<Option<Tuple>>,
-    /// Interned rows, strided by the schema arity: slab slot `i`'s row
-    /// occupies `rows[i*arity .. (i+1)*arity]`. Dead slots keep stale ids
-    /// (they are rewritten on slot reuse and never read while dead).
-    rows: Vec<ValueId>,
-    /// Freed slab slots, reused before the slab grows.
-    free: Vec<TupleId>,
+    schema: Arc<RelationSchema>,
+    /// Stable tuple slab: slot `id` holds the tuple with that [`TupleId`],
+    /// or a free-list link for a freed slot awaiting reuse.
+    slab: ChunkVec<Slot>,
+    /// Interned rows, one `arity`-wide slot per slab slot. Dead slots keep
+    /// stale ids (they are rewritten on slot reuse and never read while
+    /// dead).
+    rows: ChunkVec<ValueId>,
+    /// Most recently freed slab slot; slots are reused most-recent-first
+    /// before the slab grows.
+    free_head: Option<TupleId>,
     /// Set-semantics lookup: content hash → candidate ids, verified against
     /// the slab. The hash is the shared scheme of [`crate::pool`], so it is
     /// reachable from a `Tuple` (cached), a raw value slice
     /// ([`crate::tuple::values_hash`]), and an interned row
     /// ([`ValuePool::row_hash`]) alike.
-    ids: HashMap<u64, IdVec, crate::fxhash::IdBuildHasher>,
+    ids: IdTable,
     /// Number of live tuples.
     live: usize,
     /// Monotone content version: incremented by every successful insert,
@@ -70,12 +108,13 @@ pub struct Relation {
 impl Relation {
     /// Create an empty relation with the given schema.
     pub fn new(schema: RelationSchema) -> Self {
+        let arity = schema.arity();
         Relation {
-            schema,
-            slab: Vec::new(),
-            rows: Vec::new(),
-            free: Vec::new(),
-            ids: HashMap::default(),
+            schema: Arc::new(schema),
+            slab: ChunkVec::new(1),
+            rows: ChunkVec::new(arity),
+            free_head: None,
+            ids: IdTable::default(),
             live: 0,
             version: 0,
             indexes: HashMap::new(),
@@ -111,9 +150,8 @@ impl Relation {
     /// candidates bucketed under `hash`.
     #[inline]
     fn find_id(&self, hash: u64, values: &[Value]) -> Option<TupleId> {
-        let bucket = self.ids.get(&hash)?;
-        bucket
-            .as_slice()
+        self.ids
+            .get(hash)
             .iter()
             .copied()
             .find(|&id| self.tuple_by_id(id).values() == values)
@@ -124,9 +162,8 @@ impl Relation {
     /// always intern to equal id rows).
     #[inline]
     fn find_row_id(&self, row_hash: u64, row: &[ValueId]) -> Option<TupleId> {
-        let bucket = self.ids.get(&row_hash)?;
-        bucket
-            .as_slice()
+        self.ids
+            .get(row_hash)
             .iter()
             .copied()
             .find(|&id| self.row(id) == row)
@@ -174,15 +211,18 @@ impl Relation {
     /// The tuple addressed by `id`, if the slot is live.
     #[inline]
     pub fn tuple(&self, id: TupleId) -> Option<&Tuple> {
-        self.slab.get(id.index()).and_then(Option::as_ref)
+        if id.index() >= self.slab.len() {
+            return None;
+        }
+        self.slab.slot(id.index())[0].tuple()
     }
 
     /// The tuple addressed by `id`; panics on a dead slot (which indicates
     /// an id-bookkeeping bug, wanted loudly in the join pipeline).
     #[inline]
     pub fn tuple_by_id(&self, id: TupleId) -> &Tuple {
-        self.slab[id.index()]
-            .as_ref()
+        self.slab.slot(id.index())[0]
+            .tuple()
             .expect("TupleId addresses a live slab slot")
     }
 
@@ -191,9 +231,7 @@ impl Relation {
     /// stale ids.
     #[inline]
     pub fn row(&self, id: TupleId) -> &[ValueId] {
-        let a = self.schema.arity();
-        let start = id.index() * a;
-        &self.rows[start..start + a]
+        self.rows.slot(id.index())
     }
 
     fn check_arity(&self, arity: usize) -> Result<()> {
@@ -214,100 +252,66 @@ impl Relation {
         Ok(self.insert_full(pool, tuple)?.1)
     }
 
-    /// Reserve room for `additional` more tuples across the slab, the row
-    /// arena, and the lookup table, so bulk fixpoint rounds do not pay
-    /// incremental rehash/regrow cascades.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
-        self.rows.reserve(additional * self.schema.arity());
-        self.ids.reserve(additional);
-    }
-
-    /// Claim a slab slot for a fresh tuple whose interned row the caller
-    /// will have written at the slot's arena range. Returns the id. A free
-    /// function over the storage fields so callers can hold disjoint
-    /// borrows (e.g. a lookup-table entry) simultaneously.
-    fn claim_slot(
-        slab: &mut Vec<Option<Tuple>>,
-        rows: &mut Vec<ValueId>,
-        free: &mut Vec<TupleId>,
-        arity: usize,
+    /// Store a fresh tuple in a slab slot — the most recently freed one, or
+    /// a new one at the end — with the interned row `row_value(&tuple, i)`
+    /// for `i` in `0..arity`, and return its id.
+    fn store(
+        &mut self,
         tuple: Tuple,
-        write_row: impl FnOnce(&mut [ValueId]),
+        mut row_value: impl FnMut(&Tuple, usize) -> ValueId,
     ) -> TupleId {
-        match free.pop() {
+        let row = (0..self.schema.arity()).map(|i| row_value(&tuple, i));
+        match self.free_head {
             Some(id) => {
-                slab[id.index()] = Some(tuple);
-                let start = id.index() * arity;
-                write_row(&mut rows[start..start + arity]);
+                for (slot, value) in self.rows.slot_mut(id.index()).iter_mut().zip(row) {
+                    *slot = value;
+                }
+                let slot = &mut self.slab.slot_mut(id.index())[0];
+                let Slot::Free { next } = *slot else {
+                    unreachable!("free list addresses a live slot");
+                };
+                self.free_head = next;
+                *slot = Slot::Live(tuple);
                 id
             }
             None => {
-                let id = TupleId::from_index(slab.len());
-                slab.push(Some(tuple));
-                let start = rows.len();
-                rows.resize(start + arity, ValueId(0));
-                write_row(&mut rows[start..start + arity]);
+                let id = TupleId::from_index(self.slab.len());
+                self.rows.push_slot(row);
+                self.slab.push_slot([Slot::Live(tuple)]);
                 id
             }
         }
     }
 
-    /// Insert a tuple, returning its id and whether it was new. Dedup and
-    /// bucket registration share one lookup-table probe.
+    /// Enter the freshly stored tuple `id` into the lookup table and every
+    /// index.
+    fn register(&mut self, hash: u64, id: TupleId, pool: &ValuePool) {
+        self.ids.push(hash, id);
+        self.version += 1;
+        self.live += 1;
+        let row = self.rows.slot(id.index());
+        for idx in self.indexes.values_mut() {
+            idx.insert_row(id, row, pool);
+        }
+    }
+
+    /// Insert a tuple, returning its id and whether it was new. A duplicate
+    /// is detected read-only, so it writes (and copies) nothing.
     pub fn insert_full(&mut self, pool: &mut ValuePool, tuple: Tuple) -> Result<(TupleId, bool)> {
         self.check_arity(tuple.arity())?;
         let hash = tuple.content_hash();
-        let bucket = self.ids.entry(hash).or_default();
-        if let Some(&id) = bucket.as_slice().iter().find(|id| {
-            self.slab[id.index()]
-                .as_ref()
-                .expect("bucketed ids are live")
-                == &tuple
-        }) {
+        if let Some(id) = self.find_id(hash, tuple.values()) {
             return Ok((id, false));
         }
-        let id = Self::claim_slot(
-            &mut self.slab,
-            &mut self.rows,
-            &mut self.free,
-            self.schema.arity(),
-            tuple,
-            |row| {
-                // Interned below; placeholder writes keep the arena sized.
-                for slot in row.iter_mut() {
-                    *slot = ValueId::NONE;
-                }
-            },
-        );
-        bucket.push(id);
-        self.version += 1;
-        // Intern after claiming the slot so the stored tuple's values are
-        // the interning source (no extra clone of the incoming tuple).
-        let a = self.schema.arity();
-        let start = id.index() * a;
-        for (i, v) in self.slab[id.index()]
-            .as_ref()
-            .expect("just stored")
-            .values()
-            .iter()
-            .enumerate()
-        {
-            self.rows[start + i] = pool.intern(v);
-        }
-        self.live += 1;
-        let row_range = start..start + a;
-        for idx in self.indexes.values_mut() {
-            idx.insert_row(id, &self.rows[row_range.clone()], pool);
-        }
+        let id = self.store(tuple, |t, i| pool.intern(&t.values()[i]));
+        self.register(hash, id, pool);
         Ok((id, true))
     }
 
     /// Insert an already-interned row with its combined pool hash
     /// (`row_hash == pool.row_hash(row)`). The duplicate path is integer
     /// compares only and allocates nothing; only a genuinely new row
-    /// materialises a `Tuple` from the pool. Dedup and bucket registration
-    /// share one lookup-table probe.
+    /// materialises a `Tuple` from the pool.
     pub fn insert_row(
         &mut self,
         pool: &ValuePool,
@@ -316,33 +320,15 @@ impl Relation {
     ) -> Result<(TupleId, bool)> {
         self.check_arity(row.len())?;
         debug_assert_eq!(row_hash, pool.row_hash(row));
-        let a = self.schema.arity();
-        let bucket = self.ids.entry(row_hash).or_default();
-        if let Some(&id) = bucket
-            .as_slice()
-            .iter()
-            .find(|id| &self.rows[id.index() * a..id.index() * a + a] == row)
-        {
+        if let Some(id) = self.find_row_id(row_hash, row) {
             return Ok((id, false));
         }
         // Exact-size iterator → Arc<[Value]> collects in one allocation.
         let values: std::sync::Arc<[Value]> =
             row.iter().map(|&vid| pool.value(vid).clone()).collect();
         let tuple = Tuple::from_arc_prehashed(values, row_hash);
-        let id = Self::claim_slot(
-            &mut self.slab,
-            &mut self.rows,
-            &mut self.free,
-            a,
-            tuple,
-            |slot| slot.copy_from_slice(row),
-        );
-        bucket.push(id);
-        self.version += 1;
-        self.live += 1;
-        for idx in self.indexes.values_mut() {
-            idx.insert_row(id, row, pool);
-        }
+        let id = self.store(tuple, |_, i| row[i]);
+        self.register(row_hash, id, pool);
         Ok((id, true))
     }
 
@@ -355,20 +341,20 @@ impl Relation {
         let Some(id) = self.find_id(hash, tuple.values()) else {
             return Ok(false);
         };
-        let bucket = self.ids.get_mut(&hash).expect("bucket found above");
-        bucket.swap_remove_id(id);
-        if bucket.is_empty() {
-            self.ids.remove(&hash);
-        }
+        self.ids.remove(hash, id);
         self.version += 1;
         self.live -= 1;
-        let stored = self.slab[id.index()]
-            .take()
-            .expect("ids map and slab agree");
+        let freed = Slot::Free {
+            next: self.free_head,
+        };
+        let slot = &mut self.slab.slot_mut(id.index())[0];
+        let Slot::Live(stored) = std::mem::replace(slot, freed) else {
+            unreachable!("ids table and slab agree");
+        };
+        self.free_head = Some(id);
         for idx in self.indexes.values_mut() {
             idx.remove(id, &stored);
         }
-        self.free.push(id);
         Ok(true)
     }
 
@@ -376,7 +362,7 @@ impl Relation {
     pub fn clear(&mut self) {
         self.slab.clear();
         self.rows.clear();
-        self.free.clear();
+        self.free_head = None;
         self.ids.clear();
         self.version += 1;
         self.live = 0;
@@ -388,14 +374,17 @@ impl Relation {
     /// Iterate over all tuples, in slab (insertion) order.
     pub fn iter(&self) -> TupleIter<'_> {
         TupleIter {
-            inner: self.slab.iter(),
+            inner: self.iter_ids(),
         }
     }
 
     /// Iterate over `(id, tuple)` pairs, in slab order.
     pub fn iter_ids(&self) -> TupleIdIter<'_> {
         TupleIdIter {
-            inner: self.slab.iter().enumerate(),
+            slab: &self.slab,
+            chunk: [].iter(),
+            next_chunk: 0,
+            next_id: 0,
         }
     }
 
@@ -403,9 +392,8 @@ impl Relation {
     /// interned join pipeline's scan path.
     pub fn iter_rows(&self) -> RowIter<'_> {
         RowIter {
-            inner: self.slab.iter().enumerate(),
+            inner: self.iter_ids(),
             rows: &self.rows,
-            arity: self.schema.arity(),
         }
     }
 
@@ -416,21 +404,40 @@ impl Relation {
         v
     }
 
-    /// A copy for immutable snapshot views: everything except the secondary
-    /// hash indexes, which are derived join-acceleration state the snapshot
-    /// read paths (iteration, content-hash lookups) never consult. Equality
-    /// already ignores indexes, so the copy compares equal to `self`.
-    pub fn snapshot_clone(&self) -> Relation {
-        Relation {
-            schema: self.schema.clone(),
-            slab: self.slab.clone(),
-            rows: self.rows.clone(),
-            free: self.free.clone(),
-            ids: self.ids.clone(),
-            live: self.live,
-            version: self.version,
-            indexes: HashMap::new(),
-        }
+    /// Storage pieces (slab and row chunks, lookup-table and index
+    /// segments) copied on write over this relation's lifetime because a
+    /// clone still shared them. Clones carry the count they were taken at,
+    /// so the difference between a relation and an earlier clone of it is
+    /// the copy work done in between. A plain counter: nothing atomic
+    /// happens on the write path.
+    pub fn cow_chunk_copies(&self) -> u64 {
+        self.slab.copies()
+            + self.rows.copies()
+            + self.ids.copies()
+            + self
+                .indexes
+                .values()
+                .map(HashIndex::cow_copies)
+                .sum::<u64>()
+    }
+
+    /// `(shared, total)`: how many of this relation's storage pieces are
+    /// the very allocation `other` holds at the same position, out of how
+    /// many this relation has. Two clones of one relation share everything;
+    /// each piece written since then is counted once as unshared.
+    pub fn chunks_shared_with(&self, other: &Relation) -> (usize, usize) {
+        let indexes = self
+            .indexes
+            .iter()
+            .map(|(columns, idx)| idx.segments_shared_with(other.indexes.get(columns)));
+        [
+            self.slab.chunks_shared_with(&other.slab),
+            self.rows.chunks_shared_with(&other.rows),
+            self.ids.segments_shared_with(&other.ids),
+        ]
+        .into_iter()
+        .chain(indexes)
+        .fold((0, 0), |(s, t), (shared, total)| (s + shared, t + total))
     }
 
     /// Ensure a hash index exists over the given column positions and return
@@ -445,13 +452,7 @@ impl Relation {
             }
         }
         if !self.indexes.contains_key(columns) {
-            let idx = HashIndex::build_from(
-                columns.to_vec(),
-                self.slab
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, slot)| slot.as_ref().map(|t| (TupleId::from_index(i), t))),
-            );
+            let idx = HashIndex::build_from(columns.to_vec(), self.iter_ids());
             self.indexes.insert(columns.to_vec(), idx);
         }
         Ok(&self.indexes[columns])
@@ -543,17 +544,21 @@ impl Relation {
     /// on **content hashes**, which compaction does not change, and bucket
     /// [`TupleId`]s, which stay put — so neither needs rebuilding.
     pub(crate) fn restamp_rows(&mut self, remap: &[ValueId]) {
-        let arity = self.schema.arity();
-        for (i, slot) in self.slab.iter().enumerate() {
-            let row = &mut self.rows[i * arity..(i + 1) * arity];
-            if slot.is_some() {
-                for id in row {
-                    let new = remap[id.index()];
-                    debug_assert!(!new.is_none(), "live row references a dead pool id");
-                    *id = new;
+        // `chunks_mut` rejects a zero width; an arity-0 arena has no
+        // elements to walk anyway.
+        let arity = self.schema.arity().max(1);
+        for ci in 0..self.rows.chunk_count() {
+            let rows = self.rows.chunk_mut(ci);
+            for (slot, row) in self.slab.chunk(ci).iter().zip(rows.chunks_mut(arity)) {
+                if slot.tuple().is_some() {
+                    for id in row {
+                        let new = remap[id.index()];
+                        debug_assert!(!new.is_none(), "live row references a dead pool id");
+                        *id = new;
+                    }
+                } else {
+                    row.fill(ValueId::NONE);
                 }
-            } else {
-                row.fill(ValueId::NONE);
             }
         }
         self.version += 1;
@@ -580,67 +585,68 @@ impl Relation {
 /// Borrowed iterator over a relation's tuples (live slab slots).
 #[derive(Debug, Clone)]
 pub struct TupleIter<'a> {
-    inner: std::slice::Iter<'a, Option<Tuple>>,
+    inner: TupleIdIter<'a>,
 }
 
 impl<'a> Iterator for TupleIter<'a> {
     type Item = &'a Tuple;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a Tuple> {
-        for slot in self.inner.by_ref() {
-            if let Some(t) = slot.as_ref() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, self.inner.size_hint().1)
+        self.inner.next().map(|(_, t)| t)
     }
 }
 
-/// Borrowed iterator over a relation's `(id, tuple)` pairs.
+/// Borrowed iterator over a relation's `(id, tuple)` pairs: walks the slab
+/// chunk by chunk, skipping dead slots.
 #[derive(Debug, Clone)]
 pub struct TupleIdIter<'a> {
-    inner: std::iter::Enumerate<std::slice::Iter<'a, Option<Tuple>>>,
+    slab: &'a ChunkVec<Slot>,
+    /// Unvisited slots of the current chunk.
+    chunk: std::slice::Iter<'a, Slot>,
+    next_chunk: usize,
+    /// Slab index of the slot `chunk` yields next.
+    next_id: usize,
 }
 
 impl<'a> Iterator for TupleIdIter<'a> {
     type Item = (TupleId, &'a Tuple);
 
+    #[inline]
     fn next(&mut self) -> Option<(TupleId, &'a Tuple)> {
-        for (i, slot) in self.inner.by_ref() {
-            if slot.is_some() {
-                return Some((TupleId::from_index(i), slot.as_ref().expect("just checked")));
+        loop {
+            for slot in self.chunk.by_ref() {
+                let id = self.next_id;
+                self.next_id += 1;
+                if let Some(t) = slot.tuple() {
+                    return Some((TupleId::from_index(id), t));
+                }
             }
+            if self.next_chunk == self.slab.chunk_count() {
+                return None;
+            }
+            self.chunk = self.slab.chunk(self.next_chunk).iter();
+            self.next_id = self.next_chunk * CHUNK_SLOTS;
+            self.next_chunk += 1;
         }
-        None
     }
 }
 
 /// Borrowed iterator over a relation's `(id, interned row)` pairs.
 #[derive(Debug, Clone)]
 pub struct RowIter<'a> {
-    inner: std::iter::Enumerate<std::slice::Iter<'a, Option<Tuple>>>,
-    rows: &'a [ValueId],
-    arity: usize,
+    inner: TupleIdIter<'a>,
+    rows: &'a ChunkVec<ValueId>,
 }
 
 impl<'a> Iterator for RowIter<'a> {
     type Item = (TupleId, &'a [ValueId]);
 
+    #[inline]
     fn next(&mut self) -> Option<(TupleId, &'a [ValueId])> {
-        for (i, slot) in self.inner.by_ref() {
-            if slot.is_some() {
-                let start = i * self.arity;
-                return Some((
-                    TupleId::from_index(i),
-                    &self.rows[start..start + self.arity],
-                ));
-            }
-        }
-        None
+        self.inner
+            .next()
+            .map(|(id, _)| (id, self.rows.slot(id.index())))
     }
 }
 
@@ -990,6 +996,59 @@ mod tests {
         assert!(!r.insert(&mut p, int_tuple(&[1, 10])).unwrap());
         assert!(r.insert(&mut p, int_tuple(&[3, 30])).unwrap());
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn clones_survive_slot_reuse_inside_shared_chunks() {
+        let (mut r, mut p) = rel();
+        let n = 3 * CHUNK_SLOTS as i64 + 10;
+        for i in 0..n {
+            r.insert(&mut p, int_tuple(&[i, i % 5])).unwrap();
+        }
+        r.ensure_index(&[1]).unwrap();
+        // A long free list: every fourth tuple of the first two chunks.
+        let freed: Vec<i64> = (0..2 * CHUNK_SLOTS as i64).step_by(4).collect();
+        for &i in &freed {
+            r.remove(&int_tuple(&[i, i % 5])).unwrap();
+        }
+
+        // The clone copies no chunk, whatever the free list's length …
+        let before = r.cow_chunk_copies();
+        let snap = r.clone();
+        let (shared, total) = r.chunks_shared_with(&snap);
+        assert_eq!(shared, total);
+        assert_eq!(r.cow_chunk_copies(), before);
+
+        // … and reusing a freed slot inside a chunk the clone holds copies
+        // that slab chunk, its row chunk and one segment per table only.
+        let victim = int_tuple(&[1, 1]);
+        let victim_id = r.id_of(&victim).unwrap();
+        let reused_id = TupleId::from_index(*freed.last().unwrap() as usize);
+        let (id, fresh) = r.insert_full(&mut p, int_tuple(&[-1, 3])).unwrap();
+        assert!(fresh);
+        assert_eq!(id, reused_id, "the most recently freed slot is reused");
+        r.remove(&victim).unwrap();
+        assert!(r.cow_chunk_copies() - before <= 2 * (1 + 1 + 1 + 1));
+
+        assert_eq!(
+            snap.tuple(reused_id),
+            None,
+            "the slot was free at clone time"
+        );
+        assert_eq!(snap.tuple(victim_id), Some(&victim));
+        assert!(snap.contains(&victim) && !r.contains(&victim));
+        assert!(!snap.contains(&int_tuple(&[-1, 3])));
+        assert_eq!(snap.len(), n as usize - freed.len());
+        assert_eq!(r.len(), snap.len());
+        assert_eq!(
+            snap.select_eq_ref(&[1], &[Value::int(1)]).count(),
+            r.select_eq_ref(&[1], &[Value::int(1)]).count() + 1
+        );
+        // The clone's own free list still works, independently.
+        let mut snap = snap;
+        let (id, _) = snap.insert_full(&mut p, int_tuple(&[-2, 0])).unwrap();
+        assert_eq!(id, reused_id);
+        assert_eq!(r.tuple(reused_id), Some(&int_tuple(&[-1, 3])));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! update exchange and recomputation on random edit sequences, and the
 //! edit-log normalisation invariants.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -18,7 +18,9 @@ use orchestra_provenance::{
     TropicalSemiring, WhyProvenance,
 };
 use orchestra_storage::tuple::int_tuple;
-use orchestra_storage::{Database, EditLog, RelationSchema, Tuple};
+use orchestra_storage::{
+    Database, EditLog, Relation, RelationSchema, Tuple, TupleId, Value, ValueId,
+};
 
 // -----------------------------------------------------------------------
 // Semiring laws
@@ -322,5 +324,133 @@ proptest! {
         recomputed.recompute_all().unwrap();
 
         prop_assert_eq!(instances(&incremental), instances(&recomputed));
+    }
+}
+
+// -----------------------------------------------------------------------
+// Snapshot immutability under copy-on-write storage
+// -----------------------------------------------------------------------
+
+/// A clone of the relation under test together with everything the model
+/// knew about it when the clone was taken.
+struct Frozen {
+    relation: Relation,
+    tuples: BTreeSet<(i64, i64)>,
+    /// Every live `(id, tuple, interned row)` at clone time.
+    stored: Vec<(TupleId, Tuple, Vec<ValueId>)>,
+}
+
+impl Frozen {
+    fn take(relation: &Relation, tuples: &BTreeSet<(i64, i64)>) -> Self {
+        Frozen {
+            relation: relation.clone(),
+            tuples: tuples.clone(),
+            stored: relation
+                .iter_ids()
+                .map(|(id, t)| (id, t.clone(), relation.row(id).to_vec()))
+                .collect(),
+        }
+    }
+
+    /// The clone still reads exactly what it read when it was taken.
+    fn check(&self) {
+        let expected: Vec<Tuple> = self
+            .tuples
+            .iter()
+            .map(|&(a, b)| int_tuple(&[a, b]))
+            .collect();
+        assert_eq!(self.relation.len(), expected.len());
+        assert_eq!(self.relation.sorted_tuples(), expected);
+        assert_eq!(self.stored.len(), expected.len());
+        for (id, tuple, row) in &self.stored {
+            assert_eq!(self.relation.tuple(*id), Some(tuple));
+            assert_eq!(self.relation.id_of(tuple), Some(*id));
+            assert_eq!(self.relation.row(*id), row.as_slice());
+        }
+        // Membership and selections, present and absent keys alike; the
+        // selection goes through an index when the clone carries one.
+        for probe in 0..STORAGE_DOMAIN {
+            let t = int_tuple(&[probe, probe % STORAGE_KEYS]);
+            assert_eq!(
+                self.relation.contains(&t),
+                self.tuples.contains(&(probe, probe % STORAGE_KEYS))
+            );
+        }
+        for key in 0..STORAGE_KEYS {
+            let hits = self
+                .relation
+                .select_eq_ref(&[1], &[Value::int(key)])
+                .count();
+            assert_eq!(hits, self.tuples.iter().filter(|t| t.1 == key).count());
+        }
+    }
+}
+
+/// First-column domain of the storage property test: wide enough that the
+/// preloaded relation spans several storage chunks, narrow enough that
+/// random removes hit and random inserts collide.
+const STORAGE_DOMAIN: i64 = 900;
+/// Second-column domain (the indexed column).
+const STORAGE_KEYS: i64 = 7;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random insert / insert_row / remove / clear / ensure_index / pool
+    /// compaction with clones taken at random points: every clone keeps
+    /// reading the model state of its clone time, whatever the writer does
+    /// afterwards — including reusing, through the free list, slots inside
+    /// chunks a clone still holds.
+    #[test]
+    fn relation_clones_are_immutable_snapshots(
+        ops in prop::collection::vec((0u8..32, 0i64..STORAGE_DOMAIN), 1..250)
+    ) {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("r", &["a", "b"])).unwrap();
+        let mut model: BTreeSet<(i64, i64)> = BTreeSet::new();
+        for a in 0..700 {
+            db.insert("r", int_tuple(&[a, a % STORAGE_KEYS])).unwrap();
+            model.insert((a, a % STORAGE_KEYS));
+        }
+        let mut frozen = vec![Frozen::take(db.relation("r").unwrap(), &model)];
+
+        for (kind, a) in ops {
+            let b = a % STORAGE_KEYS;
+            match kind {
+                0..=8 => {
+                    let fresh = db.insert("r", int_tuple(&[a, b])).unwrap();
+                    prop_assert_eq!(fresh, model.insert((a, b)));
+                }
+                9..=13 => {
+                    let row = [
+                        db.pool_mut().intern(&Value::int(a)),
+                        db.pool_mut().intern(&Value::int(b)),
+                    ];
+                    let (rel, pool) = db.relation_and_pool_mut("r").unwrap();
+                    let (_, fresh) = rel.insert_row(pool, &row, pool.row_hash(&row)).unwrap();
+                    prop_assert_eq!(fresh, model.insert((a, b)));
+                }
+                14..=24 => {
+                    let removed = db.remove("r", &int_tuple(&[a, b])).unwrap();
+                    prop_assert_eq!(removed, model.remove(&(a, b)));
+                }
+                25 => {
+                    db.relation_mut("r").unwrap().clear();
+                    model.clear();
+                }
+                26 => {
+                    db.relation_mut("r").unwrap().ensure_index(&[1]).unwrap();
+                }
+                27 => {
+                    db.compact_pool();
+                }
+                _ => frozen.push(Frozen::take(db.relation("r").unwrap(), &model)),
+            }
+        }
+
+        frozen.push(Frozen::take(db.relation("r").unwrap(), &model));
+        for snapshot in &frozen {
+            snapshot.check();
+        }
     }
 }
