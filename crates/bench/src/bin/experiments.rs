@@ -12,8 +12,8 @@
 use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{
     check_against_baseline, entry_json, merge_entry, run_magic_gate, run_obs_overhead,
-    run_parallel_gate, run_pool_churn, run_publish_gate, run_publish_scaling, run_snapshot,
-    run_thread_sweep,
+    run_parallel_gate, run_point_read_gate, run_point_read_scaling, run_pool_churn,
+    run_publish_gate, run_publish_scaling, run_snapshot, run_thread_sweep,
 };
 use orchestra_bench::{
     run_fig10, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_fig_recovery, Scale,
@@ -108,6 +108,16 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
         }
     }
 
+    // Point-read scaling gate: once the writer has indexed a read's binding
+    // shape, the read must not cost in proportion to the relation's size.
+    match run_point_read_gate().verdict() {
+        Ok(line) => println!("point-read scaling gate: {line}"),
+        Err(line) => {
+            eprintln!("POINT READ SCALING: {line}");
+            return 1;
+        }
+    }
+
     // Parallel speedup gate: the fixpoint engine at max threads must beat
     // the same binary pinned to one worker on the dense transitive-closure
     // workload (skipped with a note on single-core hosts, where no
@@ -157,6 +167,9 @@ fn snapshot_mode(label: &str, out_path: &str, scale: Scale) -> i32 {
     // Publish latency after a 10-tuple delta at 1k / 10k / 100k tuples (the
     // rows behind the publish-scaling gate).
     rows.extend(run_publish_scaling());
+    // Indexed point-read latency at the same sizes (the rows behind the
+    // point-read scaling gate).
+    rows.extend(run_point_read_scaling());
     println!(
         "{:<36} {:>14} {:>10} {:>12}",
         "workload", "median_ns", "ops", "ns/op"

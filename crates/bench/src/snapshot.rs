@@ -665,41 +665,102 @@ pub fn run_publish_scaling() -> Vec<SnapshotRow> {
         .collect()
 }
 
-/// Measurements behind the publish-scaling gate: publish latency after a
-/// 10-tuple delta on the smallest and the largest relation of
-/// [`PUBLISH_SCALING_SIZES`].
-#[derive(Debug, Clone)]
-pub struct PublishGate {
-    /// Median nanoseconds per publish on the 1k-tuple relation.
-    pub small_ns: u128,
-    /// Median nanoseconds per publish on the 100k-tuple relation.
-    pub large_ns: u128,
+/// Point reads timed per sample of the point-read scaling measurement.
+const POINT_READS: usize = 200;
+
+/// Point-read latency as a function of relation size, once the read's
+/// binding shape is indexed: a peer owns `R(k, v)` with `size` tuples of
+/// distinct `k`; one read binding `k` scans (and asks for an index on
+/// `k`), one empty update exchange commits, and then [`POINT_READS`] reads
+/// of distinct keys on the latest snapshot — each answering one tuple —
+/// are timed. Without the index each read would scan all `size` tuples.
+fn point_read_after_commit(size: usize) -> SnapshotRow {
+    let mut cdss = orchestra_core::CdssBuilder::new()
+        .add_peer("P", vec![RelationSchema::new("R", &["k", "v"])])
+        .build()
+        .expect("a one-peer system builds");
+    for i in 0..size as i64 {
+        cdss.insert_local("P", "R", int_tuple(&[i, i % 101]))
+            .unwrap();
+    }
+    cdss.update_exchange("P").unwrap();
+    let read = |view: &orchestra_core::SnapshotView, key: i64| {
+        let answer = view
+            .query_certain_bound("P", "R", &[Some(Value::int(key)), None])
+            .unwrap();
+        assert_eq!(answer.len(), 1);
+    };
+    read(&cdss.snapshot(), 0);
+    cdss.update_exchange("P").unwrap();
+    let view = cdss.snapshot();
+    let stride = (size / POINT_READS).max(1) as i64;
+    let samples = (0..SNAPSHOT_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..POINT_READS as i64 {
+                read(&view, (i * stride) % size as i64);
+            }
+            start.elapsed().as_nanos() / POINT_READS as u128
+        })
+        .collect();
+    let med = median_ns(samples);
+    SnapshotRow {
+        workload: format!("point_read_scaling/{}k", size / 1000),
+        median_ns: med,
+        ops: 1,
+        ns_per_op: med as f64,
+        runs: SNAPSHOT_RUNS,
+    }
 }
 
-impl PublishGate {
-    /// How much slower the publish of a 100x larger relation may be. The
-    /// publish drops the previous epoch, which releases one pointer per
-    /// storage chunk of the tables the delta wrote (a chunk holds on the
-    /// order of a hundred tuples), so the cost is not flat: this change
-    /// measures 5x, the deep copy it replaced 98x.
-    pub const MAX_RATIO: f64 = 10.0;
+/// The point-read scaling rows, one per size in
+/// [`PUBLISH_SCALING_SIZES`].
+pub fn run_point_read_scaling() -> Vec<SnapshotRow> {
+    PUBLISH_SCALING_SIZES
+        .iter()
+        .map(|&size| point_read_after_commit(size))
+        .collect()
+}
 
-    /// Measured ratio of the large publish to the small one.
+/// A cost-versus-size gate over rows measured at each of
+/// [`PUBLISH_SCALING_SIZES`]: the operation on the largest relation may
+/// cost at most `max_ratio` times what it costs on the smallest.
+#[derive(Debug, Clone)]
+pub struct ScalingGate {
+    /// The operation timed, for the verdict line.
+    pub what: &'static str,
+    /// Median nanoseconds on the 1k-tuple relation.
+    pub small_ns: u128,
+    /// Median nanoseconds on the 100k-tuple relation.
+    pub large_ns: u128,
+    /// How much slower the 100x larger relation may be.
+    pub max_ratio: f64,
+}
+
+impl ScalingGate {
+    fn from_rows(what: &'static str, rows: &[SnapshotRow], max_ratio: f64) -> Self {
+        ScalingGate {
+            what,
+            small_ns: rows[0].median_ns,
+            large_ns: rows[rows.len() - 1].median_ns,
+            max_ratio,
+        }
+    }
+
+    /// Measured ratio of the large operation to the small one.
     pub fn ratio(&self) -> f64 {
         self.large_ns as f64 / self.small_ns.max(1) as f64
     }
 
-    /// Gate verdict: `Ok` with a human-readable line when publication cost
-    /// does not follow relation size.
+    /// Gate verdict: `Ok` with a human-readable line when the cost does
+    /// not follow relation size.
     pub fn verdict(&self) -> Result<String, String> {
         let r = self.ratio();
         let line = format!(
-            "publishing a 10-tuple delta costs {} ns on 1k tuples and {} ns on 100k ({r:.2}x, limit {:.1}x)",
-            self.small_ns,
-            self.large_ns,
-            Self::MAX_RATIO
+            "{} costs {} ns on 1k tuples and {} ns on 100k ({r:.2}x, limit {:.1}x)",
+            self.what, self.small_ns, self.large_ns, self.max_ratio
         );
-        if r <= Self::MAX_RATIO {
+        if r <= self.max_ratio {
             Ok(line)
         } else {
             Err(line)
@@ -707,13 +768,20 @@ impl PublishGate {
     }
 }
 
-/// Run the publish-scaling gate measurements (see [`PublishGate`]).
-pub fn run_publish_gate() -> PublishGate {
-    let rows = run_publish_scaling();
-    PublishGate {
-        small_ns: rows[0].median_ns,
-        large_ns: rows[rows.len() - 1].median_ns,
-    }
+/// Run the publish-scaling gate: publishing a 10-tuple delta. The publish
+/// drops the previous epoch, which releases one pointer per storage chunk
+/// of the tables the delta wrote (a chunk holds on the order of a hundred
+/// tuples), so the cost is not flat: chunk sharing measures 5x, the deep
+/// copy it replaced 98x.
+pub fn run_publish_gate() -> ScalingGate {
+    ScalingGate::from_rows("publishing a 10-tuple delta", &run_publish_scaling(), 10.0)
+}
+
+/// Run the point-read scaling gate: a point read whose shape the writer
+/// has indexed probes, so it costs O(answer) whatever the relation size; a
+/// scan would cost 100x more on the 100k relation.
+pub fn run_point_read_gate() -> ScalingGate {
+    ScalingGate::from_rows("an indexed point read", &run_point_read_scaling(), 3.0)
 }
 
 fn json_escape(s: &str) -> String {
@@ -901,21 +969,20 @@ mod tests {
 
     #[test]
     fn publish_gate_verdict_logic() {
-        let flat = PublishGate {
+        let gate = |large_ns| ScalingGate {
+            what: "publishing",
             small_ns: 1_000,
-            large_ns: 2_500,
+            large_ns,
+            max_ratio: 10.0,
         };
-        assert!(flat.verdict().unwrap().contains("2.50x"));
+        assert!(gate(2_500).verdict().unwrap().contains("2.50x"));
         // A publish that deep-copies the changed relation scales with it.
-        let linear = PublishGate {
-            small_ns: 1_000,
-            large_ns: 90_000,
-        };
-        assert!(linear.verdict().unwrap_err().contains("90.00x"));
-        // The measurement itself yields one row per size.
+        assert!(gate(90_000).verdict().unwrap_err().contains("90.00x"));
+        // The measurements themselves yield one row per size.
+        assert_eq!(publish_after_delta(1_000).workload, "publish_scaling/1k");
         assert_eq!(
-            publish_after_delta(1_000).workload,
-            "publish_scaling/1k".to_string()
+            point_read_after_commit(1_000).workload,
+            "point_read_scaling/1k"
         );
     }
 

@@ -22,7 +22,7 @@ use crate::error::CdssError;
 use crate::peer::{Peer, PeerId};
 use crate::report::PublishReport;
 use crate::trust::TrustPolicy;
-use crate::view::{SnapshotMeta, SnapshotReader, SnapshotState, SnapshotView};
+use crate::view::{IndexDemand, SnapshotMeta, SnapshotReader, SnapshotState, SnapshotView};
 use crate::Result;
 
 /// Run the static analyzer over a compiled mapping system's update-exchange
@@ -235,6 +235,9 @@ impl Cdss {
             eval_pool: None,
             analysis,
         };
+        // Registered at zero here: the counter is only touched again on
+        // the scan path of a bound read, never on the insert path.
+        let _ = orchestra_obs::counter("query_bound_scans_total");
         // Initial epoch: the freshly registered (empty) relations, so
         // snapshot readers are valid before the first exchange.
         cdss.publish_snapshot();
@@ -267,6 +270,26 @@ impl Cdss {
         // registered (at zero) from the first publication attempt on.
         orchestra_obs::counter("snapshot_publishes_total").add(minted);
         orchestra_obs::counter("storage_cow_chunk_copies_total").add(chunk_copies);
+    }
+
+    /// Build the indexes bound reads asked for since the last commit (see
+    /// [`Cdss::query_local_bound`]). Called on the writer's `&mut` commit
+    /// paths, before they publish: the index then ships with every later
+    /// snapshot and is maintained incrementally like the evaluator's own.
+    pub(crate) fn index_demanded_shapes(&mut self) {
+        for (relation, column) in self.snapshots.demand().take() {
+            if let Ok(rel) = self.db.relation_mut(&relation) {
+                rel.ensure_index(&[column])
+                    .expect("a demanded column lies within its relation's arity");
+            }
+        }
+    }
+
+    /// Index what bound reads demanded, then publish: the commit step of
+    /// the writer's `&mut` paths.
+    pub(crate) fn commit_snapshot(&mut self) {
+        self.index_demanded_shapes();
+        self.publish_snapshot();
     }
 
     /// The latest snapshot view: an immutable, whole-epoch read view
@@ -396,7 +419,7 @@ impl Cdss {
             peers: self.peers.clone(),
             relation_owner: self.relation_owner.clone(),
         });
-        self.publish_snapshot();
+        self.commit_snapshot();
         if self.persistence.is_some() {
             // The manifest is derived from the live tgd set; checkpointing
             // rewrites it (and folds the WAL) so recovery rebuilds the
@@ -501,7 +524,7 @@ impl Cdss {
         // post-compaction ids through pre-compaction relations or vice
         // versa. Old views keep their pre-compaction chunks and stay
         // self-consistent.
-        self.publish_snapshot();
+        self.commit_snapshot();
         report
     }
 
@@ -516,7 +539,7 @@ impl Cdss {
             .compact_pool_if(self.compaction.min_pool_len, self.compaction.min_dead_ratio)?;
         self.plans.invalidate_plans();
         self.compactions_run += 1;
-        self.publish_snapshot();
+        self.commit_snapshot();
         Some(report)
     }
 
@@ -732,9 +755,13 @@ impl Cdss {
 
     /// Point query over the local instance: tuples of `relation` whose
     /// columns equal the `Some` entries of `binding`, sorted. The instance
-    /// is maintained incrementally by update exchange, so this is a
-    /// filtered scan of the curated output table — only matching tuples
-    /// are cloned, never the whole instance.
+    /// is maintained incrementally by update exchange and read in place:
+    /// the first read of a binding shape scans the curated output table
+    /// and asks for an index on its lowest bound column, which the next
+    /// commit (exchange, bulk apply, recomputation, compaction,
+    /// checkpoint) builds; from then on reads of the shape — here and on
+    /// every later snapshot — probe that index and cost O(answer). Only
+    /// matching tuples are cloned, never the whole instance.
     pub fn query_local_bound(
         &self,
         peer: &str,
@@ -746,6 +773,7 @@ impl Cdss {
             self.output_relation(peer, relation)?,
             binding,
             false,
+            self.snapshots.demand(),
         )
     }
 
@@ -762,6 +790,7 @@ impl Cdss {
             self.output_relation(peer, relation)?,
             binding,
             true,
+            self.snapshots.demand(),
         )
     }
 
@@ -1055,23 +1084,21 @@ fn ensure_node(
     }
 }
 
-/// Rebuild the provenance graph from scratch from the current contents of
-/// the local-contribution tables, the provenance relations, and the internal
-/// input/output tables. Nodes are registered through the graph's
-/// `(RelId, TupleId)` stored-tuple index — tuple ids come for free from the
-/// relations' id iterators, so maintenance probes integers, not payloads.
 /// Selection shared by the live and snapshot bound-query paths: tuples of
 /// `rel` whose columns equal the `Some` entries of `binding` (with
 /// labeled-null tuples dropped when `certain`), sorted. Goes through
-/// [`orchestra_storage::Relation::select_eq_ref`]: an index probe when an
-/// index covers the bound columns (snapshots carry their relations'
-/// indexes), a filtered scan otherwise. Only matching tuples are cloned — a
+/// [`orchestra_storage::Relation::select_eq_ref`], which probes an index on
+/// any subset of the bound columns (snapshots carry their relations'
+/// indexes) and scans otherwise. A scan records the shape's lowest bound
+/// column in `demand`, so the writer indexes it at its next commit and
+/// later reads of the shape probe. Only matching tuples are cloned — a
 /// point query never materialises the instance.
 pub(crate) fn bound_filtered(
     relation: &str,
     rel: &orchestra_storage::Relation,
     binding: &[Option<Value>],
     certain: bool,
+    demand: &IndexDemand,
 ) -> Result<Vec<Tuple>> {
     if binding.len() != rel.schema().arity() {
         return Err(CdssError::ArityMismatch {
@@ -1085,8 +1112,12 @@ pub(crate) fn bound_filtered(
         .enumerate()
         .filter_map(|(i, b)| b.clone().map(|v| (i, v)))
         .unzip();
-    let mut out: Vec<Tuple> = rel
-        .select_eq_ref(&columns, &key)
+    let selection = rel.select_eq_ref(&columns, &key);
+    if selection.is_scan() && !columns.is_empty() {
+        demand.record(rel.name(), columns[0]);
+        orchestra_obs::counter("query_bound_scans_total").inc();
+    }
+    let mut out: Vec<Tuple> = selection
         .filter(|t| !(certain && t.has_labeled_null()))
         .cloned()
         .collect();
@@ -1094,6 +1125,11 @@ pub(crate) fn bound_filtered(
     Ok(out)
 }
 
+/// Rebuild the provenance graph from scratch from the current contents of
+/// the local-contribution tables, the provenance relations, and the internal
+/// input/output tables. Nodes are registered through the graph's
+/// `(RelId, TupleId)` stored-tuple index — tuple ids come for free from the
+/// relations' id iterators, so maintenance probes integers, not payloads.
 pub(crate) fn rebuild_graph(
     system: &MappingSystem,
     db: &impl RelationSource,

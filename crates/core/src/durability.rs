@@ -369,7 +369,7 @@ impl Cdss {
         // Checkpoints follow the direct batch APIs (which do publish their
         // data) but may also follow a compaction; refresh the view so its
         // counters (durable epoch, compactions) are current.
-        self.publish_snapshot();
+        self.commit_snapshot();
         orchestra_obs::histogram("checkpoint_seconds").observe(start.elapsed());
         orchestra_obs::counter("checkpoints_total").inc();
         Ok(())
@@ -449,7 +449,7 @@ impl Cdss {
         // The build published an empty view before `cdss.db` was swapped in;
         // re-publish so readers of the recovered CDSS start at the restored
         // state.
-        cdss.publish_snapshot();
+        cdss.commit_snapshot();
 
         // Replay the WAL past the snapshot watermark. Recording is off (no
         // persistence handle yet), so replayed exchanges do not re-append.
@@ -475,7 +475,7 @@ impl Cdss {
         }
         // Replayed exchanges published as they went, but the epoch watermark
         // is restored after each one; refresh the view's counters.
-        cdss.publish_snapshot();
+        cdss.commit_snapshot();
 
         cdss.persistence = Some(PersistHandle { store });
         if report.replayed_epochs > 0 || report.corrupt_tail.is_some() {

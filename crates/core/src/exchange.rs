@@ -111,6 +111,7 @@ impl Cdss {
             // it lazily on the next provenance read instead of inline here.
             graph.invalidate();
         }
+        self.index_demanded_shapes();
         report.duration = start.elapsed();
         phase_histogram("recompute").observe(report.duration);
         // Publication is deferred like the incremental paths': recompute is
@@ -137,6 +138,7 @@ impl Cdss {
         for (rel, tuples) in insertions {
             self.check_logical_batch(rel, tuples)?;
         }
+        self.index_demanded_shapes();
         let _span = orchestra_obs::span("insertion-round", "core");
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::IncrementalInsertion);
@@ -191,6 +193,7 @@ impl Cdss {
         let (retractions, rejections) = self.classify_deletions(deletions)?;
         // Like insertions, deletions defer snapshot publication to the next
         // `snapshot()` call or exchange/checkpoint commit.
+        self.index_demanded_shapes();
         self.propagate_deletions_incremental(&retractions, &rejections)
     }
 
@@ -202,6 +205,7 @@ impl Cdss {
         deletions: &BTreeMap<String, Vec<Tuple>>,
     ) -> Result<ExchangeReport> {
         let (retractions, rejections) = self.classify_deletions(deletions)?;
+        self.index_demanded_shapes();
         self.propagate_deletions_dred(&retractions, &rejections)
     }
 
@@ -475,7 +479,7 @@ impl Cdss {
                 // readers see pre- or post-exchange epochs, never a
                 // mid-propagation mix.
                 let t_publish = Instant::now();
-                self.publish_snapshot();
+                self.commit_snapshot();
                 phase_histogram("snapshot-publish").observe(t_publish.elapsed());
                 Ok(ok)
             }

@@ -16,7 +16,7 @@
 //! — so a reader sees the pre-exchange or post-exchange database, never a
 //! mix.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use orchestra_mappings::MappingSystem;
@@ -64,6 +64,8 @@ pub struct SnapshotView {
     /// system: a publish that changed nothing installs a view with fresh
     /// counters, not a fresh graph.
     graph: Arc<OnceLock<ProvenanceGraph>>,
+    /// Where this view's bound reads report a shape they had to scan for.
+    demand: Arc<IndexDemand>,
 }
 
 impl SnapshotView {
@@ -197,8 +199,9 @@ impl SnapshotView {
     }
 
     /// Point query over the local instance at this epoch —
-    /// [`crate::Cdss::query_local_bound`] against the snapshot. Only
-    /// matching tuples are cloned, never the whole instance.
+    /// [`crate::Cdss::query_local_bound`] against the snapshot, with the
+    /// same cost: an index probe once the writer has indexed the shape,
+    /// a scan (which asks the writer for that index) before.
     pub fn query_local_bound(
         &self,
         peer: &str,
@@ -210,6 +213,7 @@ impl SnapshotView {
             self.output_relation(peer, relation)?,
             binding,
             false,
+            &self.demand,
         )
     }
 
@@ -226,6 +230,7 @@ impl SnapshotView {
             self.output_relation(peer, relation)?,
             binding,
             true,
+            &self.demand,
         )
     }
 
@@ -299,6 +304,30 @@ impl SnapshotReader {
     }
 }
 
+/// The binding shapes bound reads had to answer by scanning, as
+/// `(output table, lowest bound column)` pairs, for the writer to index
+/// at its next commit ([`crate::Cdss`]'s `index_demanded_shapes`). One
+/// column per shape bounds the set by the peers' relation arities, however
+/// many distinct bindings readers send; an index on the lowest bound
+/// column serves every shape that binds it, because
+/// [`orchestra_storage::Relation::select_eq_ref`] probes any index on a
+/// subset of the bound columns.
+#[derive(Debug, Default)]
+pub(crate) struct IndexDemand(Mutex<BTreeSet<(String, usize)>>);
+
+impl IndexDemand {
+    /// Ask for an index on `column` of the output table `relation`.
+    pub(crate) fn record(&self, relation: &str, column: usize) {
+        let mut shapes = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        shapes.insert((relation.to_string(), column));
+    }
+
+    /// Every shape asked for since the last call.
+    pub(crate) fn take(&self) -> BTreeSet<(String, usize)> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
 /// The publisher state a [`crate::Cdss`] owns: the copy-on-write snapshot
 /// store plus the swap cell its readers load views from. The store sits
 /// behind a `Mutex` so publication needs only `&self` — letting
@@ -313,6 +342,8 @@ pub(crate) struct SnapshotState {
     /// already-published views keep the meta they were published with (they
     /// describe the pre-change epochs).
     meta: Mutex<Arc<SnapshotMeta>>,
+    /// Shapes the live `Cdss` and every view it published scanned for.
+    demand: Arc<IndexDemand>,
 }
 
 impl SnapshotState {
@@ -321,6 +352,7 @@ impl SnapshotState {
     pub(crate) fn new(meta: SnapshotMeta) -> Self {
         let store = SnapshotStore::new();
         let meta = Arc::new(meta);
+        let demand = Arc::<IndexDemand>::default();
         let initial = SnapshotView {
             snap: store.latest(),
             meta: Arc::clone(&meta),
@@ -329,12 +361,19 @@ impl SnapshotState {
             plan_cache_hits: 0,
             compactions_run: 0,
             graph: Arc::default(),
+            demand: Arc::clone(&demand),
         };
         SnapshotState {
             store: Mutex::new(store),
             cell: Arc::new(ArcCell::new(Arc::new(initial))),
             meta: Mutex::new(meta),
+            demand,
         }
+    }
+
+    /// The demand set shared by the live `Cdss` and its views.
+    pub(crate) fn demand(&self) -> &IndexDemand {
+        &self.demand
     }
 
     /// Replace the metadata used for future publishes (the mapping system
@@ -359,7 +398,8 @@ impl SnapshotState {
         let snap = store.publish(db);
         let meta = Arc::clone(&self.meta.lock().expect("snapshot meta lock"));
         let previous = self.cell.load();
-        let graph = if Arc::ptr_eq(&previous.snap, &snap) && Arc::ptr_eq(&previous.meta, &meta) {
+        // Same epoch, same content: an index-only publish keeps the graph.
+        let graph = if previous.snap.epoch() == snap.epoch() && Arc::ptr_eq(&previous.meta, &meta) {
             Arc::clone(&previous.graph)
         } else {
             Arc::default()
@@ -372,6 +412,7 @@ impl SnapshotState {
             plan_cache_hits,
             compactions_run,
             graph,
+            demand: Arc::clone(&self.demand),
         };
         self.cell.store(Arc::new(view));
         (
@@ -410,8 +451,9 @@ const _: () = {
 mod tests {
     use std::sync::Arc;
 
+    use orchestra_storage::schema::{internal_name, InternalRole};
     use orchestra_storage::tuple::int_tuple;
-    use orchestra_storage::RelationSchema;
+    use orchestra_storage::{RelationSchema, Value};
 
     use crate::builder::CdssBuilder;
 
@@ -457,5 +499,83 @@ mod tests {
         assert!(third.graph.get().is_none());
         assert!(first.provenance_of("B", &int_tuple(&[4, 6])).is_zero());
         assert!(!third.provenance_of("B", &int_tuple(&[4, 6])).is_zero());
+    }
+
+    /// The only test in this crate that makes bound reads, so nothing else
+    /// moves the process-global scan counter while it runs.
+    #[test]
+    fn a_scanned_shape_is_probed_after_the_next_commit() {
+        let scans = || {
+            orchestra_obs::global()
+                .counter_value("query_bound_scans_total", &[])
+                .expect("registered when the CDSS is built")
+        };
+        let mut cdss = CdssBuilder::new()
+            .add_peer(
+                "PGUS",
+                vec![RelationSchema::new("G", &["id", "can", "nam"])],
+            )
+            .add_peer("PBioSQL", vec![RelationSchema::new("B", &["id", "nam"])])
+            .add_mapping_str("m1", "G(i, c, n) -> B(i, n)")
+            .build()
+            .unwrap();
+        for i in 0..20 {
+            cdss.insert_local("PGUS", "G", int_tuple(&[i, 0, i % 4]))
+                .unwrap();
+        }
+        cdss.update_exchange("PGUS").unwrap();
+        let b_o = internal_name("B", InternalRole::Output);
+        let indexes = cdss.database().relation(&b_o).unwrap().index_count();
+        let epochs = cdss.snapshots_published();
+        let old = cdss.snapshot();
+        let binding = [None, Some(Value::int(3))];
+        let answer = old.query_certain_bound("PBioSQL", "B", &binding).unwrap();
+        assert_eq!(answer.len(), 5);
+        let after_first = scans();
+
+        // Rejected reads ask for nothing.
+        assert!(old.query_certain_bound("PBioSQL", "B", &[None]).is_err());
+        assert!(cdss.query_local_bound("PGUS", "B", &binding).is_err());
+        let demanded = old.demand.0.lock().unwrap().clone();
+        assert_eq!(demanded.into_iter().collect::<Vec<_>>(), [(b_o.clone(), 1)]);
+        old.query_certain_bound("PBioSQL", "B", &binding).unwrap();
+        assert_eq!(scans(), after_first + 1);
+
+        // A commit that changes no content builds the index and publishes
+        // it without minting an epoch; the graph cell carries over.
+        cdss.update_exchange("PGUS").unwrap();
+        assert_eq!(cdss.snapshots_published(), epochs);
+        let rel = cdss.database().relation(&b_o).unwrap();
+        assert_eq!(rel.index_count(), indexes + 1);
+        let latest = cdss.snapshot_reader().latest();
+        assert!(!Arc::ptr_eq(&latest.snap, &old.snap));
+        assert_eq!(latest.epoch(), old.epoch());
+        assert!(Arc::ptr_eq(&latest.graph, &old.graph));
+
+        // From now on the shape, and every shape binding column 1, probes —
+        // on the new view and on the live system alike.
+        let before = scans();
+        assert_eq!(
+            latest
+                .query_certain_bound("PBioSQL", "B", &binding)
+                .unwrap(),
+            answer
+        );
+        assert_eq!(
+            cdss.query_certain_bound("PBioSQL", "B", &binding).unwrap(),
+            answer
+        );
+        let both = [Some(Value::int(7)), Some(Value::int(3))];
+        assert_eq!(
+            latest.query_local_bound("PBioSQL", "B", &both).unwrap(),
+            vec![int_tuple(&[7, 3])]
+        );
+        assert_eq!(scans(), before);
+        // The view kept from before the index still answers, by scanning.
+        assert_eq!(
+            old.query_certain_bound("PBioSQL", "B", &binding).unwrap(),
+            answer
+        );
+        assert_eq!(scans(), before + 1);
     }
 }

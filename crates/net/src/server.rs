@@ -625,10 +625,12 @@ fn handle_add_mapping(shared: &Shared, name: &str, text: &str, version: u8) -> V
     }
 }
 
-/// Answer `QueryLocalWhere` / `QueryCertainWhere`: a filtered scan of the
-/// peer's curated output table in which only matching tuples are cloned
-/// and serialized — the full instance never crosses the wire. Served from
-/// a lock-free snapshot view, like the unbound queries.
+/// Answer `QueryLocalWhere` / `QueryCertainWhere`: a selection over the
+/// peer's curated output table — an index probe once the writer has
+/// indexed the binding shape, a scan that asks for that index before — in
+/// which only matching tuples are cloned and serialized, so the full
+/// instance never crosses the wire. Served from a lock-free snapshot view,
+/// like the unbound queries.
 fn handle_query_where(
     shared: &Shared,
     peer: &str,

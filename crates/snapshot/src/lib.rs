@@ -27,7 +27,9 @@
 //! it alone held.
 //!
 //! A cloned [`Relation`] carries its interned rows, `TupleId` slab and
-//! indexes with it, so a snapshot answers every value-keyed read
+//! indexes with it — an index the writer adds to an otherwise unchanged
+//! relation reaches the next snapshot without minting an epoch — so a
+//! snapshot answers every value-keyed read
 //! (`contains`, `iter`, `sorted_tuples`, `certain_tuples`,
 //! `select_eq_ref`, …) without consulting the owner's `ValuePool` — which
 //! is what keeps old snapshots valid across pool compactions: a compaction
@@ -218,9 +220,15 @@ impl SnapshotStore {
     /// shared with it; changed (or new) relations are cloned, which shares
     /// every full storage chunk. When *nothing* changed the previous
     /// snapshot is returned as-is and no new epoch is minted.
+    ///
+    /// A relation whose content is unchanged but which gained an index
+    /// ([`Relation::index_count`]) is cloned too, so readers get the index;
+    /// if that is all that changed, the new snapshot keeps the previous
+    /// epoch and pool counters — it is the same instance, better indexed.
     pub fn publish(&mut self, db: &Database) -> Arc<DbSnapshot> {
         let previous = self.cell.load();
         let mut changed = previous.relations.len() != db.relation_count();
+        let mut reindexed = false;
         let mut relations = Vec::with_capacity(db.relation_count());
         // Both sides are in name order, so one forward walk pairs them up.
         let mut old = previous.relations.iter().peekable();
@@ -228,7 +236,14 @@ impl SnapshotStore {
             while old.next_if(|o| o.name() < rel.name()).is_some() {}
             let published = old.next_if(|o| o.name() == rel.name());
             relations.push(match published {
-                Some(arc) if arc.version() == rel.version() => Arc::clone(arc),
+                Some(arc) if arc.version() == rel.version() => {
+                    if arc.index_count() == rel.index_count() {
+                        Arc::clone(arc)
+                    } else {
+                        reindexed = true;
+                        Arc::new(rel.clone())
+                    }
+                }
                 _ => {
                     changed = true;
                     let copied_before = published.map_or(0, |arc| arc.cow_chunk_copies());
@@ -237,17 +252,24 @@ impl SnapshotStore {
                 }
             });
         }
-        if !changed {
+        let snapshot = if changed {
+            self.published += 1;
+            Arc::new(DbSnapshot {
+                epoch: self.published,
+                relations,
+                pool_stats: db.pool_stats(),
+                pool_len: db.pool().len(),
+                live_values: OnceLock::new(),
+            })
+        } else if reindexed {
+            Arc::new(DbSnapshot {
+                relations,
+                live_values: previous.live_values.clone(),
+                ..*previous
+            })
+        } else {
             return previous;
-        }
-        self.published += 1;
-        let snapshot = Arc::new(DbSnapshot {
-            epoch: self.published,
-            relations,
-            pool_stats: db.pool_stats(),
-            pool_len: db.pool().len(),
-            live_values: OnceLock::new(),
-        });
+        };
         self.cell.store(Arc::clone(&snapshot));
         snapshot
     }
@@ -355,6 +377,26 @@ mod tests {
         let second = store.publish(&db);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(store.published(), 1);
+    }
+
+    #[test]
+    fn an_index_only_change_reaches_readers_without_an_epoch() {
+        let mut store = SnapshotStore::new();
+        let mut db = two_relation_db();
+        let first = store.publish(&db);
+        db.relation_mut("a").unwrap().ensure_index(&[0]).unwrap();
+        let second = store.publish(&db);
+        assert!(!Arc::ptr_eq(&first, &second), "the index must be published");
+        assert_eq!((second.epoch(), store.published()), (1, 1));
+        assert!(second.lookup("a").unwrap().index(&[0]).is_some());
+        assert!(first.lookup("a").unwrap().index(&[0]).is_none());
+        assert!(Arc::ptr_eq(
+            first.shared("b").unwrap(),
+            second.shared("b").unwrap()
+        ));
+        assert_eq!(second.live_value_count(), first.live_value_count());
+        // Once published, the index is no change at all.
+        assert!(Arc::ptr_eq(&second, &store.publish(&db)));
     }
 
     #[test]

@@ -327,6 +327,20 @@ impl HashIndex {
         self.probe_hash(combine_hashes(key.iter().map(value_hash)))
     }
 
+    /// Like [`HashIndex::probe_ids`] for a key bound on `columns` (parallel
+    /// to `key`), which must include every indexed column: the probe key
+    /// is the bound values at the indexed columns, so the callers' check
+    /// of every bound column also filters on those the index ignores.
+    pub(crate) fn probe_bound(&self, columns: &[usize], key: &[Value]) -> &[TupleId] {
+        self.probe_hash(combine_hashes(self.columns.iter().map(|c| {
+            let at = columns
+                .iter()
+                .position(|b| b == c)
+                .expect("every indexed column is bound");
+            value_hash(&key[at])
+        })))
+    }
+
     /// Like [`HashIndex::probe_ids`] but for an interned key, reading
     /// cached hashes from the pool.
     pub fn probe_row(&self, key: &[ValueId], pool: &ValuePool) -> &[TupleId] {

@@ -470,14 +470,37 @@ impl Relation {
         self.indexes.get(columns).map(|idx| idx.probe_ids(key))
     }
 
-    /// Borrowed selection: all tuples whose values at `columns` equal `key`,
-    /// using an index if one exists and falling back to a scan otherwise.
-    /// Candidates are verified, so the result is exact.
+    /// Number of secondary indexes built on this relation. Indexes are
+    /// only ever added ([`Relation::ensure_index`]), so a change in this
+    /// count is how a snapshot publisher notices an index-only change.
+    pub fn index_count(&self) -> usize {
+        self.indexes.len()
+    }
+
+    /// The index an equality selection on `columns` probes: the one over
+    /// exactly those columns, else the widest over a non-empty subset of
+    /// them (ties go to the smallest column list, so the choice does not
+    /// depend on hash-map order).
+    fn covering_index(&self, columns: &[usize]) -> Option<&HashIndex> {
+        self.indexes.get(columns).or_else(|| {
+            self.indexes
+                .iter()
+                .filter(|(cols, _)| !cols.is_empty() && cols.iter().all(|c| columns.contains(c)))
+                .max_by(|(a, _), (b, _)| a.len().cmp(&b.len()).then_with(|| b.cmp(a)))
+                .map(|(_, idx)| idx)
+        })
+    }
+
+    /// Borrowed selection: all tuples whose values at `columns` equal `key`.
+    /// Probes an index over the bound columns, or failing that over the
+    /// widest subset of them, and scans only when no index covers any
+    /// bound column ([`SelectEqRef::is_scan`]). Every candidate is checked
+    /// against every bound column, so the result is exact either way.
     pub fn select_eq_ref<'a>(&'a self, columns: &'a [usize], key: &'a [Value]) -> SelectEqRef<'a> {
-        let inner = match self.indexes.get(columns) {
+        let inner = match self.covering_index(columns) {
             Some(idx) => SelectInner::Probe {
                 rel: self,
-                ids: idx.probe_ids(key).iter(),
+                ids: idx.probe_bound(columns, key).iter(),
             },
             None => SelectInner::Scan(self.iter()),
         };
@@ -656,6 +679,14 @@ pub struct SelectEqRef<'a> {
     inner: SelectInner<'a>,
     columns: &'a [usize],
     key: &'a [Value],
+}
+
+impl SelectEqRef<'_> {
+    /// True when no index covered the selection, so it walks the whole
+    /// relation.
+    pub fn is_scan(&self) -> bool {
+        matches!(self.inner, SelectInner::Scan(_))
+    }
 }
 
 #[derive(Debug)]
@@ -887,6 +918,47 @@ mod tests {
         assert_eq!(r.select_eq(&[0], &[Value::int(1)]).len(), 2);
         assert_eq!(r.select_eq(&[0], &[Value::int(9)]).len(), 0);
         assert!(r.probe_ids(&[0], &[Value::int(1)]).is_some());
+    }
+
+    #[test]
+    fn select_eq_probes_any_index_on_a_subset_of_the_bound_columns() {
+        let mut p = ValuePool::new();
+        let mut r = Relation::new(RelationSchema::new("T", &["a", "b", "c"]));
+        for i in 0..60 {
+            r.insert(&mut p, int_tuple(&[i % 5, i % 3, i % 4])).unwrap();
+        }
+        let brute = |r: &Relation, cols: &[usize], key: &[Value]| {
+            let mut v: Vec<Tuple> = r
+                .iter()
+                .filter(|t| cols.iter().zip(key).all(|(&c, v)| &t[c] == v))
+                .cloned()
+                .collect();
+            v.sort();
+            v
+        };
+        let cases: [(&[usize], [Value; 2]); 3] = [
+            (&[0, 2], [Value::int(1), Value::int(3)]),
+            (&[1, 2], [Value::int(2), Value::int(0)]),
+            (&[0, 1], [Value::int(4), Value::int(9)]),
+        ];
+        let check = |r: &Relation, scans: [bool; 3]| {
+            for ((cols, key), scan) in cases.iter().zip(scans) {
+                let sel = r.select_eq_ref(cols, &key[..]);
+                assert_eq!(sel.is_scan(), scan, "{cols:?}");
+                let mut got: Vec<Tuple> = sel.cloned().collect();
+                got.sort();
+                assert_eq!(got, brute(r, cols, &key[..]), "{cols:?}");
+            }
+        };
+        check(&r, [true, true, true]);
+        // An index on column 0 serves every selection that binds column 0.
+        r.ensure_index(&[0]).unwrap();
+        check(&r, [false, true, false]);
+        // A wider covering index and an exact one change nothing observable.
+        r.ensure_index(&[0, 2]).unwrap();
+        r.ensure_index(&[1, 2]).unwrap();
+        check(&r, [false, false, false]);
+        assert_eq!(r.index_count(), 3);
     }
 
     #[test]

@@ -361,3 +361,104 @@ fn remote_checkpoint_then_recover() {
     assert_eq!(report.replayed_epochs, 0);
     assert_eq!(recovered.database().to_bytes(), expected);
 }
+
+/// A served system whose `PQ` peer owns `Q`, of arity 4, mapped onto `PS`'s
+/// `S`; 30 `Q` tuples exchanged, then `reads` run over loopback between
+/// two more exchanges. Returns the system once the server has stopped.
+fn serve_point_reads(reads: impl Fn(&mut NetClient)) -> orchestra_core::Cdss {
+    let cdss = orchestra_core::CdssBuilder::new()
+        .add_peer(
+            "PQ",
+            vec![orchestra_storage::RelationSchema::new(
+                "Q",
+                &["a", "b", "c", "d"],
+            )],
+        )
+        .add_peer(
+            "PS",
+            vec![orchestra_storage::RelationSchema::new("S", &["a", "d"])],
+        )
+        .add_mapping_str("m", "Q(a, b, c, d) -> S(a, d)")
+        .build()
+        .unwrap();
+    let handle = serve(cdss, "127.0.0.1:0").unwrap();
+    let mut client =
+        NetClient::connect_with_retry(handle.addr(), 20, Duration::from_millis(50)).unwrap();
+    for round in 0..3i64 {
+        let tuples = (round * 10..round * 10 + 10)
+            .map(|i| int_tuple(&[i, i % 3, i % 5, i % 2]))
+            .collect();
+        client
+            .publish_edits(EditBatch::for_peer("PQ").insert("Q", tuples))
+            .unwrap();
+        client.update_exchange(Some("PQ")).unwrap();
+        if round < 2 {
+            reads(&mut client);
+        }
+    }
+    handle.stop_and_join()
+}
+
+/// Point reads with every one of the 16 binding shapes of an arity-4
+/// relation, over the wire: answers equal a filter of the full instance,
+/// the writer adds at most one index per column, and neither the reads nor
+/// the indexes they cause mint a snapshot epoch. Rejected reads (wrong
+/// arity, a relation the peer does not own) leave the system unchanged.
+#[test]
+fn point_reads_of_every_shape_add_at_most_arity_indexes() {
+    use orchestra_storage::Value;
+
+    let index_counts = |cdss: &orchestra_core::Cdss| -> Vec<(String, usize)> {
+        cdss.database()
+            .relations()
+            .map(|r| (r.name().to_string(), r.index_count()))
+            .collect()
+    };
+    let quiet = serve_point_reads(|_| {});
+    let rejected = serve_point_reads(|client| {
+        let four = vec![Some(Value::int(1)); 4];
+        assert!(client
+            .query_certain_where("PQ", "Q", vec![None; 3])
+            .is_err());
+        assert!(client.query_local_where("PQ", "S", four.clone()).is_err());
+        assert!(client.query_certain_where("PS", "Q", four).is_err());
+    });
+    let every_shape = serve_point_reads(|client| {
+        let all = client.query_certain("PQ", "Q").unwrap();
+        let key = int_tuple(&[7, 1, 2, 1]);
+        for _ in 0..2 {
+            for mask in 0..16u8 {
+                let binding: Vec<Option<Value>> = (0..4)
+                    .map(|i| (mask >> i & 1 == 1).then(|| key[i].clone()))
+                    .collect();
+                let expected: Vec<Tuple> = all
+                    .iter()
+                    .filter(|t| {
+                        binding
+                            .iter()
+                            .enumerate()
+                            .all(|(i, b)| b.as_ref().is_none_or(|v| &t[i] == v))
+                    })
+                    .cloned()
+                    .collect();
+                let got = client.query_certain_where("PQ", "Q", binding).unwrap();
+                assert_eq!(got, expected, "shape {mask:04b}");
+            }
+        }
+    });
+
+    let epochs = quiet.snapshots_published();
+    assert_eq!(rejected.snapshots_published(), epochs);
+    assert_eq!(every_shape.snapshots_published(), epochs);
+    assert_eq!(index_counts(&rejected), index_counts(&quiet));
+    for ((name, quiet_n), (_, n)) in index_counts(&quiet)
+        .into_iter()
+        .zip(index_counts(&every_shape))
+    {
+        if name == "Q_o" {
+            assert!(n > quiet_n && n <= quiet_n + 4, "{name}: {quiet_n} -> {n}");
+        } else {
+            assert_eq!(n, quiet_n, "{name}");
+        }
+    }
+}
