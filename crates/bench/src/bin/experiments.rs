@@ -13,7 +13,7 @@ use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{
     check_against_baseline, entry_json, merge_entry, run_magic_gate, run_obs_overhead,
     run_parallel_gate, run_point_read_gate, run_point_read_scaling, run_pool_churn,
-    run_publish_gate, run_publish_scaling, run_snapshot, run_thread_sweep,
+    run_publish_gate, run_publish_scaling, run_small_round_gate, run_snapshot, run_thread_sweep,
 };
 use orchestra_bench::{
     run_fig10, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_fig_recovery, Scale,
@@ -114,6 +114,17 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
         Ok(line) => println!("point-read scaling gate: {line}"),
         Err(line) => {
             eprintln!("POINT READ SCALING: {line}");
+            return 1;
+        }
+    }
+
+    // Small-round gate: an incremental exchange whose rounds are below the
+    // chunk floor runs them inline, so at max threads it must cost about
+    // what it costs pinned to one worker in this same run.
+    match run_small_round_gate(scale).verdict() {
+        Ok(line) => println!("small-round gate: {line}"),
+        Err(line) => {
+            eprintln!("SMALL ROUNDS: {line}");
             return 1;
         }
     }

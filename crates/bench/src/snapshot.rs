@@ -607,6 +607,58 @@ pub fn run_parallel_gate(scale: Scale) -> ParallelGate {
     }
 }
 
+/// Measurements behind the small-round gate: the `fig7_insertions`
+/// exchange — every fixpoint round of it below the chunk floor — pinned to
+/// one worker vs the host's full core count, in the same run.
+#[derive(Debug, Clone)]
+pub struct SmallRoundGate {
+    /// Hardware threads available to the run (the max-threads worker count).
+    pub host_cores: usize,
+    /// Median nanoseconds pinned to one worker.
+    pub t1_ns: u128,
+    /// Median nanoseconds at `host_cores` workers.
+    pub tmax_ns: u128,
+}
+
+impl SmallRoundGate {
+    /// How much dearer the max-threads exchange may be than the pinned one.
+    pub const MAX_RATIO: f64 = 1.15;
+
+    /// Measured cost of max threads relative to one (>1 means slower).
+    pub fn ratio(&self) -> f64 {
+        self.tmax_ns as f64 / self.t1_ns.max(1) as f64
+    }
+
+    /// Gate verdict: small rounds run inline, so a bigger pool must not make
+    /// them dearer. Passes on a single-core host, where both runs are
+    /// pinned to one worker.
+    pub fn verdict(&self) -> Result<String, String> {
+        let line = format!(
+            "fig7_insertions at t{} costs {:.2}x its t1 ({} ns vs {} ns, limit {:.2}x)",
+            self.host_cores,
+            self.ratio(),
+            self.tmax_ns,
+            self.t1_ns,
+            Self::MAX_RATIO
+        );
+        if self.host_cores <= 1 || self.ratio() <= Self::MAX_RATIO {
+            Ok(line)
+        } else {
+            Err(line)
+        }
+    }
+}
+
+/// Run the small-round gate measurements (see [`SmallRoundGate`]).
+pub fn run_small_round_gate(scale: Scale) -> SmallRoundGate {
+    let host_cores = orchestra_pool::hardware_threads();
+    SmallRoundGate {
+        host_cores,
+        t1_ns: fig7_insertions_at(scale, Some(1)).median_ns,
+        tmax_ns: fig7_insertions_at(scale, Some(host_cores)).median_ns,
+    }
+}
+
 /// Relation sizes (tuples) of the publish-scaling measurement.
 pub const PUBLISH_SCALING_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// Tuples inserted between two timed publishes.
@@ -984,6 +1036,20 @@ mod tests {
             point_read_after_commit(1_000).workload,
             "point_read_scaling/1k"
         );
+    }
+
+    #[test]
+    fn small_round_gate_verdict_logic() {
+        let gate = |host_cores, tmax_ns| SmallRoundGate {
+            host_cores,
+            t1_ns: 1_000,
+            tmax_ns,
+        };
+        assert!(gate(2, 1_100).verdict().unwrap().contains("1.10x"));
+        // Small rounds dispatched to the pool cost more than inline ones.
+        assert!(gate(2, 1_580).verdict().unwrap_err().contains("1.58x"));
+        // One core: both measurements are pinned to one worker.
+        assert!(gate(1, 1_580).verdict().is_ok());
     }
 
     #[test]

@@ -266,10 +266,18 @@ impl Cdss {
         );
         // Count content-changing publishes only, mirroring
         // `snapshots_published()` (a no-change publish mints no epoch).
-        // The handles are acquired unconditionally so the series are
-        // registered (at zero) from the first publication attempt on.
-        orchestra_obs::counter("snapshot_publishes_total").add(minted);
-        orchestra_obs::counter("storage_cow_chunk_copies_total").add(chunk_copies);
+        // The handles are resolved once, on the first publication attempt,
+        // so the series are registered (at zero) from then on.
+        static HANDLES: std::sync::OnceLock<[orchestra_obs::Counter; 2]> =
+            std::sync::OnceLock::new();
+        let [publishes, chunk_copies_total] = HANDLES.get_or_init(|| {
+            [
+                orchestra_obs::counter("snapshot_publishes_total"),
+                orchestra_obs::counter("storage_cow_chunk_copies_total"),
+            ]
+        });
+        publishes.add(minted);
+        chunk_copies_total.add(chunk_copies);
     }
 
     /// Build the indexes bound reads asked for since the last commit (see

@@ -18,6 +18,7 @@
 //!   incrementally.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use orchestra_datalog::delta::deletion_candidates;
@@ -38,10 +39,28 @@ use crate::Result;
 /// propagation APIs.
 type TupleBatch = BTreeMap<String, Vec<Tuple>>;
 
+/// The exchange phases with an `exchange_phase_seconds` series.
+const PHASES: [&str; 5] = [
+    "recompute",
+    "provenance-rebuild",
+    "insertion-round",
+    "deletion-round",
+    "snapshot-publish",
+];
+
 /// The `exchange_phase_seconds{phase=...}` histogram for one exchange
-/// phase (the per-phase cost breakdown the paper's §6 reasons about).
-fn phase_histogram(phase: &'static str) -> orchestra_obs::Histogram {
-    orchestra_obs::histogram_with("exchange_phase_seconds", &[("phase", phase)])
+/// phase (the per-phase cost breakdown the paper's §6 reasons about),
+/// resolved from the registry once per phase.
+fn phase_histogram(phase: &'static str) -> &'static orchestra_obs::Histogram {
+    static HANDLES: [OnceLock<orchestra_obs::Histogram>; PHASES.len()] =
+        [const { OnceLock::new() }; PHASES.len()];
+    let i = PHASES
+        .iter()
+        .position(|p| *p == phase)
+        .expect("a known exchange phase");
+    HANDLES[i].get_or_init(|| {
+        orchestra_obs::histogram_with("exchange_phase_seconds", &[("phase", phase)])
+    })
 }
 
 impl Cdss {
@@ -457,9 +476,14 @@ impl Cdss {
         let _span = orchestra_obs::span("exchange", "core");
         // Registration already rejects programs with analysis errors, so the
         // memoized report is clean here; the check is a belt-and-braces gate
-        // against a divergent fixpoint ever starting.
-        if let Some(err) = orchestra_analyze::AnalysisError::from_report(self.analysis().clone()) {
-            return Err(err.into());
+        // against a divergent fixpoint ever starting. The report is cloned
+        // only on the error path.
+        if self.analysis().has_errors() {
+            if let Some(err) =
+                orchestra_analyze::AnalysisError::from_report(self.analysis().clone())
+            {
+                return Err(err.into());
+            }
         }
         // Write-ahead: a persistent CDSS appends the pending edit logs as a
         // durable epoch before publishing them (no-op otherwise).

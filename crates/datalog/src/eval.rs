@@ -59,7 +59,8 @@ use crate::Result;
 pub const DELTA_INDEX_MIN: usize = 16;
 
 /// Smallest per-worker delta chunk: splitting finer than this costs more in
-/// task dispatch than the join work it parallelises.
+/// task dispatch than the join work it parallelises. Also the floor below
+/// which a whole round's delta runs inline (see [`Evaluator`]).
 pub const PAR_MIN_CHUNK: usize = 64;
 
 /// Smallest per-head merge batch worth the sharded parallel liveness pass;
@@ -118,13 +119,17 @@ pub fn bound_scan(db: &Database, relation: &str, binding: &[Option<Value>]) -> R
 /// ## Parallel fixpoint
 ///
 /// When constructed with a thread pool ([`Evaluator::new`] adopts the
-/// process-global pool when it has more than one thread), each fixpoint
-/// round fans out over the pool: one task per rule in round zero, one task
-/// per delta *chunk* per rule occurrence in later rounds. Workers evaluate
-/// against a frozen database snapshot; their head derivations are merged in
-/// deterministic task order (rule, then occurrence, then chunk), so the
-/// final instance, its provenance, and any canonical re-encode are
-/// byte-identical at every worker count — including one.
+/// process-global pool when it has more than one thread), a fixpoint round
+/// that is big enough to pay for the dispatch fans out over the pool: one
+/// task per rule in round zero, one task per delta *chunk* per rule
+/// occurrence in later rounds. A round of one task, or whose delta is
+/// smaller than [`PAR_MIN_CHUNK`] rows (round zero counts as above it), runs
+/// straight through on the caller instead — a small incremental exchange
+/// never touches the pool. Workers evaluate against a frozen database
+/// snapshot; their head derivations are merged in deterministic task order
+/// (rule, then occurrence, then chunk), so the final instance, its
+/// provenance, and any canonical re-encode are byte-identical at every
+/// worker count — including one.
 ///
 /// Determinism rests on the delta-first plan shape: a delta occurrence is
 /// always forced to join position 0, so a chunked delta produces exactly
@@ -265,8 +270,7 @@ impl Evaluator {
         total.intern_misses += (pool_after.misses - pool_before.misses) as usize;
         total.plan_cache_hits += (cache.hits - plan_hits_before) as usize;
         if let Some(p) = &self.pool {
-            orchestra_obs::counter("eval_pool_steals_total")
-                .add(p.stats().steals.saturating_sub(steals_before));
+            steals_counter().add(p.stats().steals.saturating_sub(steals_before));
         }
         self.stats += total;
         total.record_to_registry();
@@ -393,7 +397,7 @@ impl Evaluator {
                     if produced.is_empty() {
                         continue;
                     }
-                    let outs = vec![(plan.rule.head_relation.as_str(), produced)];
+                    let outs = vec![(plan.rule.head_relation.as_str(), Some(produced))];
                     changed |= !merge_round_outputs(db, outs, &mut stats, None)?.is_empty();
                 }
                 stats.iterations = 1;
@@ -417,7 +421,7 @@ impl Evaluator {
         filter: Option<&DerivationFilter<'_>>,
     ) -> Result<EvalStats> {
         let mut stats = EvalStats::new();
-        let stash = ScratchStash::default();
+        let mut stash = ScratchStash::default();
         let pool = self.pool.as_ref();
 
         // Round 0: evaluate every rule of the stratum against the full
@@ -425,43 +429,33 @@ impl Evaluator {
         // the delta. All rules of a round see the same frozen snapshot and
         // their outputs merge afterwards in rule order, so the round
         // decomposes into independent tasks at any worker count.
-        let mut tasks: Vec<RoundTask<'_>> = Vec::with_capacity(stratum_rules.len());
+        let mut tasks: Vec<RoundTask<'_, '_>> = Vec::with_capacity(stratum_rules.len());
         for &ri in stratum_rules {
             let plan = cache.base(program, ri, db.pool_mut())?;
             prepare_rule_access(plan, db, None)?;
-            tasks.push(RoundTask { ri, delta: None });
+            let head = program.rules()[ri].head.relation.as_str();
+            tasks.push(RoundTask {
+                ri,
+                head,
+                delta: None,
+            });
         }
-        let mut delta = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
+        // Base plans scan whole relations: the round counts as above the
+        // chunk floor.
+        let round = (tasks, PAR_MIN_CHUNK);
+        let mut delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
         stats.iterations += 1;
 
-        // Subsequent rounds: only evaluate rule occurrences that can consume
-        // something from the previous round's delta, each with its
-        // delta-first compiled variant, each delta split into worker-sized
-        // chunks. Deltas are id sets into the stored relations — nothing is
-        // re-materialised between rounds.
+        // Subsequent rounds: only evaluate this stratum's rule occurrences
+        // (its rule ids are ascending) that can consume something from the
+        // previous round's delta. Deltas are id sets into the stored
+        // relations — nothing is re-materialised between rounds.
         while !delta.is_empty() {
-            let mut tasks: Vec<RoundTask<'_>> = Vec::new();
-            for &ri in stratum_rules {
-                for (body_index, relation) in &prepared.occurrences[ri] {
-                    let Some(d) = delta.get(relation) else {
-                        continue;
-                    };
-                    if d.is_empty() {
-                        continue;
-                    }
-                    let plan = cache.delta(program, ri, *body_index, db.pool_mut())?;
-                    prepare_rule_access(plan, db, Some(*body_index))?;
-                    for chunk in delta_chunks(d, pool) {
-                        tasks.push(RoundTask {
-                            ri,
-                            delta: Some((*body_index, relation, chunk)),
-                        });
-                    }
-                }
-            }
-            let next = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
+            let round = delta_round_tasks(cache, program, prepared, db, &delta, pool, |ri| {
+                stratum_rules.binary_search(&ri).is_ok()
+            })?;
+            delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
             stats.iterations += 1;
-            delta = next;
         }
 
         Ok(stats)
@@ -522,68 +516,46 @@ impl Evaluator {
         }
 
         let mut stats = EvalStats::new();
-        let stash = ScratchStash::default();
+        let mut stash = ScratchStash::default();
         let pool = self.pool.as_ref();
         let steals_before = pool.map_or(0, |p| p.stats().steals);
-        let mut all_new: HashMap<String, Vec<TupleId>> = HashMap::new();
+        let mut all_new: HashMap<&str, Vec<TupleId>> = HashMap::new();
 
         // Apply the base deltas, keeping only genuinely new tuples (as ids).
-        let mut delta: HashMap<String, Vec<TupleId>> = HashMap::new();
+        let mut delta: Delta<'_> = Vec::new();
         for (rel, tuples) in base_deltas {
             if !db.has_relation(rel) {
                 return Err(DatalogError::MissingRelation(rel.clone()));
             }
+            let mut fresh_ids = Vec::new();
             for t in tuples {
                 let (tid, fresh) = db.insert_full(rel, t.clone())?;
                 if fresh {
                     stats.tuples_inserted += 1;
-                    delta.entry(rel.clone()).or_default().push(tid);
-                    all_new.entry(rel.clone()).or_default().push(tid);
+                    fresh_ids.push(tid);
                 }
+            }
+            if !fresh_ids.is_empty() {
+                all_new.insert(rel, fresh_ids.clone());
+                delta.push((rel, fresh_ids));
             }
         }
 
-        // Push deltas through the rules until fixpoint, each occurrence
-        // with its delta-first compiled variant, each delta split into
-        // worker-sized chunks. Each round is a span, so a trace timeline
-        // shows the fixpoint converging (formerly an `ORCHESTRA_TRACE_EVAL`
-        // stderr dump).
+        // Push deltas through the rules until fixpoint. Each round is a
+        // span, so a trace timeline shows the fixpoint converging.
         let workers = self.threads() as u64;
         let _fixpoint = orchestra_obs::span("fixpoint-insertions", "datalog");
         while !delta.is_empty() {
             let _round = orchestra_obs::span_tagged("insert-round", "datalog", workers);
-            let mut tasks: Vec<RoundTask<'_>> = Vec::new();
-            for (ri, rule_occurrences) in prepared.occurrences.iter().enumerate() {
-                for (body_index, relation) in rule_occurrences {
-                    let Some(d) = delta.get(relation) else {
-                        continue;
-                    };
-                    if d.is_empty() {
-                        continue;
-                    }
-                    let plan = cache.delta(program, ri, *body_index, db.pool_mut())?;
-                    prepare_rule_access(plan, db, Some(*body_index))?;
-                    for chunk in delta_chunks(d, pool) {
-                        tasks.push(RoundTask {
-                            ri,
-                            delta: Some((*body_index, relation, chunk)),
-                        });
-                    }
-                }
-            }
-            let next = run_round(pool, cache, db, tasks, filter, &mut stats, &stash)?;
-            for (head, fresh) in &next {
-                all_new
-                    .entry(head.clone())
-                    .or_default()
-                    .extend(fresh.iter().copied());
+            let round = delta_round_tasks(cache, program, &prepared, db, &delta, pool, |_| true)?;
+            delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
+            for (head, fresh) in &delta {
+                all_new.entry(*head).or_default().extend_from_slice(fresh);
             }
             stats.iterations += 1;
-            delta = next;
         }
         if let Some(p) = pool {
-            orchestra_obs::counter("eval_pool_steals_total")
-                .add(p.stats().steals.saturating_sub(steals_before));
+            steals_counter().add(p.stats().steals.saturating_sub(steals_before));
         }
 
         let pool_after = db.pool_stats();
@@ -597,9 +569,9 @@ impl Evaluator {
         // the stored rows) for the public API.
         let mut out: HashMap<String, Vec<Tuple>> = HashMap::with_capacity(all_new.len());
         for (name, ids) in all_new {
-            let rel = db.relation(&name)?;
+            let rel = db.relation(name)?;
             let tuples = ids.iter().map(|&id| rel.tuple_by_id(id).clone()).collect();
-            out.insert(name, tuples);
+            out.insert(name.to_string(), tuples);
         }
         Ok(out)
     }
@@ -713,16 +685,26 @@ pub(crate) struct DeltaRows<'a> {
 /// delta against one body occurrence of a rule (delta-first plan). Tasks of
 /// a round are independent — they read the same frozen database — and merge
 /// in `Vec` order.
-struct RoundTask<'d> {
+struct RoundTask<'h, 'd> {
     ri: usize,
+    /// The rule's head relation, which the task's output merges into.
+    head: &'h str,
     /// `(body_index, occurrence relation, delta chunk)`; `None` evaluates
     /// the base plan.
     delta: Option<(usize, &'d str, &'d [TupleId])>,
 }
 
+/// A round's delta: the tuple ids each relation gained, one entry per
+/// relation.
+type Delta<'h> = Vec<(&'h str, Vec<TupleId>)>;
+
+/// A round's tasks and its size in delta rows (see [`run_round`]).
+type Round<'h, 'd> = (Vec<RoundTask<'h, 'd>>, usize);
+
 /// Shared pool of [`EvalScratch`] buffers: each worker pops one for the
 /// duration of a task and pushes it back, so a round allocates at most one
-/// scratch per concurrently running worker.
+/// scratch per concurrently running worker. An inline round borrows the
+/// first one without locking.
 #[derive(Default)]
 struct ScratchStash {
     free: std::sync::Mutex<Vec<EvalScratch>>,
@@ -740,14 +722,75 @@ impl ScratchStash {
     fn push(&self, sc: EvalScratch) {
         self.free.lock().expect("scratch stash lock").push(sc);
     }
+
+    fn local(&mut self) -> &mut EvalScratch {
+        let free = self.free.get_mut().expect("scratch stash lock");
+        if free.is_empty() {
+            free.push(EvalScratch::default());
+        }
+        &mut free[0]
+    }
 }
 
-/// Split a round's delta into per-worker chunks. Sequential evaluation (or
-/// a small delta) keeps one chunk; the parallel case over-partitions by 4×
-/// the worker count so the steal-half scheduler can balance skewed chunks.
-/// Chunk boundaries never affect the result: the delta occurrence joins at
-/// position 0, so per-chunk outputs are consecutive slices of the unchunked
-/// output stream (see [`Evaluator`] docs).
+/// The `eval_pool_steals_total` counter, resolved once.
+fn steals_counter() -> &'static orchestra_obs::Counter {
+    static HANDLE: std::sync::OnceLock<orchestra_obs::Counter> = std::sync::OnceLock::new();
+    HANDLE.get_or_init(|| orchestra_obs::counter("eval_pool_steals_total"))
+}
+
+/// Compile and prepare the delta-first plan of every occurrence (of a rule
+/// `in_scope` admits) that can consume a relation of `delta`, and return
+/// one task per delta chunk, in (rule, occurrence, chunk) order, with the
+/// round's size: the rows of the delta relations the tasks consume, each
+/// relation counted once.
+fn delta_round_tasks<'h, 'd>(
+    cache: &mut PlanCache,
+    program: &'h Program,
+    prepared: &'d PreparedProgram,
+    db: &mut Database,
+    delta: &'d Delta<'_>,
+    pool: Option<&orchestra_pool::Pool>,
+    in_scope: impl Fn(usize) -> bool,
+) -> Result<Round<'h, 'd>> {
+    let mut occurrences: Vec<(usize, usize, &str, &[TupleId])> = Vec::new();
+    let mut rows = 0;
+    for (relation, ids) in delta {
+        let Some(occs) = prepared.occurrences.get(*relation) else {
+            continue;
+        };
+        let before = occurrences.len();
+        for &(ri, body_index) in occs.iter().filter(|(ri, _)| in_scope(*ri)) {
+            occurrences.push((ri, body_index, relation, ids));
+        }
+        if occurrences.len() > before {
+            rows += ids.len();
+        }
+    }
+    occurrences.sort_unstable_by_key(|&(ri, body_index, _, _)| (ri, body_index));
+    let mut tasks = Vec::with_capacity(occurrences.len());
+    for (ri, body_index, relation, ids) in occurrences {
+        let plan = cache.delta(program, ri, body_index, db.pool_mut())?;
+        prepare_rule_access(plan, db, Some(body_index))?;
+        let head = program.rules()[ri].head.relation.as_str();
+        for chunk in delta_chunks(ids, pool) {
+            tasks.push(RoundTask {
+                ri,
+                head,
+                delta: Some((body_index, relation, chunk)),
+            });
+        }
+    }
+    Ok((tasks, rows))
+}
+
+/// Split a round's delta into per-worker chunks. Without a pool, or for a
+/// delta below [`PAR_MIN_CHUNK`], it stays one chunk; otherwise it is
+/// over-partitioned by 4× the worker count so the steal-half scheduler can
+/// balance skewed chunks (whether the round then runs on the pool at all is
+/// [`run_round`]'s size test). Chunk boundaries never affect the result:
+/// the delta occurrence joins at position 0, so per-chunk outputs are
+/// consecutive slices of the unchunked output stream (see [`Evaluator`]
+/// docs).
 fn delta_chunks<'d>(
     d: &'d [TupleId],
     pool: Option<&orchestra_pool::Pool>,
@@ -761,127 +804,140 @@ fn delta_chunks<'d>(
     d.chunks(size)
 }
 
-/// Evaluate one fixpoint round's tasks — on the pool when it has more than
-/// one thread and the round has more than one task, inline otherwise — and
-/// merge every task's head derivations into the database in task order.
-/// Returns the genuinely new tuple ids per head relation (the next delta).
+/// Evaluate one fixpoint round's tasks and merge every task's head
+/// derivations into the database in task order. Returns the genuinely new
+/// tuple ids per head relation (the next delta).
+///
+/// The round runs on the pool only when it is big enough to pay for the
+/// dispatch: more than one task, and a delta of at least [`PAR_MIN_CHUNK`]
+/// rows (each relation counted once; a round of base plans passes the
+/// floor itself). Any other round runs straight through on the caller with
+/// one scratch and no per-task boxing, stats fold or timing — and so does
+/// its merge.
 ///
 /// Every plan a task references must have been compiled
 /// ([`PlanCache::base`] / [`PlanCache::delta`]) and its access paths
 /// prepared ([`prepare_rule_access`]) before the call: workers share the
 /// database and plan cache read-only.
-fn run_round(
+fn run_round<'h>(
     pool: Option<&orchestra_pool::Pool>,
     cache: &PlanCache,
     db: &mut Database,
-    tasks: Vec<RoundTask<'_>>,
+    (tasks, rows): Round<'h, '_>,
     filter: Option<&DerivationFilter<'_>>,
     stats: &mut EvalStats,
-    stash: &ScratchStash,
-) -> Result<HashMap<String, Vec<TupleId>>> {
-    if tasks.is_empty() {
-        return Ok(HashMap::new());
-    }
-    let parallel = pool.is_some_and(|p| p.threads() > 1) && tasks.len() > 1;
-    let results: Vec<Result<(ProducedRows, EvalStats)>> = {
-        let db_ref: &Database = db;
-        let eval_task = |t: &RoundTask<'_>| -> Result<(ProducedRows, EvalStats)> {
-            let mut task_stats = EvalStats::new();
-            let (plan, delta) = match t.delta {
-                Some((body_index, relation, ids)) => (
-                    cache.delta_ref(t.ri, body_index),
-                    Some(DeltaRows {
-                        body_index,
-                        rel: db_ref.relation(relation)?,
-                        ids,
-                    }),
-                ),
-                None => (cache.base_ref(t.ri), None),
-            };
-            let mut sc = stash.pop();
-            let started = std::time::Instant::now();
-            let produced =
-                eval_rule_ids_prepared(plan, db_ref, delta, filter, &mut task_stats, &mut sc, true);
-            orchestra_obs::histogram("eval_parallel_chunk_seconds").observe(started.elapsed());
-            stash.push(sc);
-            produced.map(|p| (p, task_stats))
+    stash: &mut ScratchStash,
+) -> Result<Delta<'h>> {
+    let pool = pool.filter(|_| tasks.len() > 1 && rows >= PAR_MIN_CHUNK);
+    let db_ref: &Database = db;
+    let eval_task = |t: &RoundTask<'_, '_>, stats: &mut EvalStats, sc: &mut EvalScratch| {
+        let (plan, delta) = match t.delta {
+            Some((body_index, relation, ids)) => (
+                cache.delta_ref(t.ri, body_index),
+                Some(DeltaRows {
+                    body_index,
+                    rel: db_ref.relation(relation)?,
+                    ids,
+                }),
+            ),
+            None => (cache.base_ref(t.ri), None),
         };
-        if parallel {
+        eval_rule_ids_prepared(plan, db_ref, delta, filter, stats, sc, true)
+    };
+
+    // Non-empty outputs in task order — the order every thread count
+    // merges in.
+    let mut outs: Vec<(&str, Option<ProducedRows>)> = Vec::with_capacity(tasks.len());
+    match pool {
+        Some(p) => {
             stats.parallel_tasks_spawned += tasks.len();
+            let stash: &ScratchStash = stash;
+            let chunk_seconds = chunk_seconds();
             let boxed: Vec<orchestra_pool::Task<'_, Result<(ProducedRows, EvalStats)>>> = tasks
                 .iter()
                 .map(|t| {
                     let f = &eval_task;
-                    Box::new(move || f(t)) as orchestra_pool::Task<'_, _>
+                    Box::new(move || {
+                        let mut task_stats = EvalStats::new();
+                        let mut sc = stash.pop();
+                        let started = std::time::Instant::now();
+                        let produced = f(t, &mut task_stats, &mut sc);
+                        chunk_seconds.observe(started.elapsed());
+                        stash.push(sc);
+                        produced.map(|p| (p, task_stats))
+                    }) as orchestra_pool::Task<'_, _>
                 })
                 .collect();
-            pool.expect("parallel implies a pool").run(boxed)
-        } else {
-            tasks.iter().map(eval_task).collect()
+            for (t, r) in tasks.iter().zip(p.run(boxed)) {
+                let (produced, task_stats) = r?;
+                *stats += task_stats;
+                if !produced.is_empty() {
+                    outs.push((t.head, Some(produced)));
+                }
+            }
         }
-    };
-
-    // Fold per-task stats and collect non-empty outputs in task order —
-    // the order every thread count merges in.
-    let mut outs: Vec<(&str, ProducedRows)> = Vec::with_capacity(tasks.len());
-    for (t, r) in tasks.iter().zip(results) {
-        let (produced, task_stats) = r?;
-        *stats += task_stats;
-        if produced.is_empty() {
-            continue;
+        None => {
+            let sc = stash.local();
+            for t in &tasks {
+                let produced = eval_task(t, stats, sc)?;
+                if !produced.is_empty() {
+                    outs.push((t.head, Some(produced)));
+                }
+            }
         }
-        let head: &str = match t.delta {
-            Some((bi, _, _)) => &cache.delta_ref(t.ri, bi).rule.head_relation,
-            None => &cache.base_ref(t.ri).rule.head_relation,
-        };
-        outs.push((head, produced));
     }
-    merge_round_outputs(db, outs, stats, pool.filter(|p| p.threads() > 1))
+    merge_round_outputs(db, outs, stats, pool)
 }
 
-/// Merge the round's task outputs into their head relations in task order,
-/// returning the genuinely new tuple ids per head. Large merges run a
-/// parallel sharded liveness pre-pass ([`sharded_liveness`]); the insert
-/// loop itself is sequential and ordered, and [`Relation::insert_row`]'s
-/// own duplicate check remains the final authority either way, so the
-/// pre-pass is purely an optimisation.
-fn merge_round_outputs(
+/// The `eval_parallel_chunk_seconds` histogram, resolved once.
+fn chunk_seconds() -> &'static orchestra_obs::Histogram {
+    static HANDLE: std::sync::OnceLock<orchestra_obs::Histogram> = std::sync::OnceLock::new();
+    HANDLE.get_or_init(|| orchestra_obs::histogram("eval_parallel_chunk_seconds"))
+}
+
+/// Merge the round's task outputs into their head relations — heads in
+/// order of first appearance, each head's batches in task order — and
+/// return the genuinely new tuple ids per head. With a pool (the round ran
+/// on it), large merges run a parallel sharded liveness pre-pass
+/// ([`sharded_liveness`]); the insert loop itself is sequential and
+/// ordered, and [`Relation::insert_row`]'s own duplicate check remains the
+/// final authority either way, so the pre-pass is purely an optimisation.
+fn merge_round_outputs<'h>(
     db: &mut Database,
-    outs: Vec<(&str, ProducedRows)>,
+    mut outs: Vec<(&'h str, Option<ProducedRows>)>,
     stats: &mut EvalStats,
     pool: Option<&orchestra_pool::Pool>,
-) -> Result<HashMap<String, Vec<TupleId>>> {
-    let mut order: Vec<&str> = Vec::new();
-    let mut by_head: HashMap<&str, Vec<ProducedRows>> = HashMap::new();
-    for (head, produced) in outs {
-        by_head
-            .entry(head)
-            .or_insert_with(|| {
-                order.push(head);
-                Vec::new()
-            })
-            .push(produced);
-    }
-
-    let mut fresh_by_head: HashMap<String, Vec<TupleId>> = HashMap::new();
-    for head in order {
-        let batches = by_head.remove(head).expect("recorded in order");
+) -> Result<Delta<'h>> {
+    let mut fresh_by_head: Delta<'h> = Vec::new();
+    let mut batches: Vec<ProducedRows> = Vec::new();
+    for i in 0..outs.len() {
+        let head = outs[i].0;
+        batches.extend(
+            outs[i..]
+                .iter_mut()
+                .filter(|(h, _)| *h == head)
+                .filter_map(|(_, produced)| produced.take()),
+        );
+        if batches.is_empty() {
+            continue; // merged with an earlier task of the same head
+        }
         if pool.is_some() {
             stats.parallel_chunks_merged += batches.len();
         }
         let total: usize = batches.iter().map(ProducedRows::len).sum();
-        let live: Vec<bool> = match pool {
-            Some(p) if total >= PAR_DEDUP_MIN => sharded_liveness(db, head, &batches, p)?,
-            _ => vec![true; total],
+        let live: Option<Vec<bool>> = match pool {
+            Some(p) if total >= PAR_DEDUP_MIN => Some(sharded_liveness(db, head, &batches, p)?),
+            _ => None,
         };
+        let is_live = |gi: usize| live.as_ref().is_none_or(|l| l[gi]);
         let (rel, vpool) = db.relation_and_pool_mut(head)?;
         let mut fresh = Vec::new();
         let mut gi = 0usize;
-        for batch in batches {
+        for batch in batches.drain(..) {
             match batch {
                 ProducedRows::Rows { arity, ids, hashes } => {
                     for (i, &hash) in hashes.iter().enumerate() {
-                        if live[gi] {
+                        if is_live(gi) {
                             let row = &ids[i * arity..(i + 1) * arity];
                             let (tid, new) = rel.insert_row(vpool, row, hash)?;
                             if new {
@@ -894,7 +950,7 @@ fn merge_round_outputs(
                 }
                 ProducedRows::Tuples(tuples) => {
                     for t in tuples {
-                        if live[gi] {
+                        if is_live(gi) {
                             let (tid, new) = rel.insert_full(vpool, t)?;
                             if new {
                                 stats.tuples_inserted += 1;
@@ -907,7 +963,7 @@ fn merge_round_outputs(
             }
         }
         if !fresh.is_empty() {
-            fresh_by_head.insert(head.to_string(), fresh);
+            fresh_by_head.push((head, fresh));
         }
     }
     Ok(fresh_by_head)
@@ -1563,6 +1619,31 @@ mod tests {
         );
         assert!(new.contains_key("path"));
         assert!(new["path"].contains(&int_tuple(&[1, 5])));
+    }
+
+    #[test]
+    fn small_rounds_run_inline_and_large_rounds_on_the_pool() {
+        let program = tc_program();
+        let mut db = edge_db(&[(1, 2), (2, 3)]);
+        let mut cache = PlanCache::new();
+        let mut eval = Evaluator::with_pool(orchestra_pool::Pool::new(2));
+        // Round 0 evaluates both base plans: above the floor, on the pool.
+        let full = eval
+            .run_filtered_cached(&mut cache, &program, &mut db, None)
+            .unwrap();
+        assert!(full.parallel_tasks_spawned >= 2, "{full}");
+
+        // A one-edge delta feeds two occurrences: two tasks, two delta rows
+        // — below the floor, so the round and its merge run inline.
+        eval.take_stats();
+        let mut deltas = HashMap::new();
+        deltas.insert("edge".to_string(), vec![int_tuple(&[3, 4])]);
+        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &deltas, None)
+            .unwrap();
+        let small = eval.take_stats();
+        assert!(small.tuples_inserted > 0, "{small}");
+        assert_eq!(small.parallel_tasks_spawned, 0, "{small}");
+        assert_eq!(small.parallel_chunks_merged, 0, "{small}");
     }
 
     #[test]

@@ -155,14 +155,15 @@ pub(crate) struct MagicEntry {
 }
 
 /// Program facts that never depend on the data: the validated
-/// stratification and, per rule, the `(body_index, relation)` of every
-/// positive body occurrence. Cheap to clone (shared).
+/// stratification and, per relation, the `(rule, body_index)` of every
+/// positive body occurrence of it. Cheap to clone (shared).
 #[derive(Debug, Clone)]
 pub struct PreparedProgram {
     /// Rule indices per stratum, bottom-up.
     pub strata: Arc<Stratification>,
-    /// Per rule, the positive body occurrences a delta can substitute into.
-    pub occurrences: Arc<Vec<Vec<(usize, String)>>>,
+    /// Per relation, the positive body occurrences a delta on it can
+    /// substitute into, in (rule, occurrence) order.
+    pub occurrences: Arc<HashMap<String, Vec<(usize, usize)>>>,
 }
 
 /// The cardinality band a relation size falls into.
@@ -269,18 +270,15 @@ impl PlanCache {
             self.fingerprint = fp;
             program.validate()?;
             let strata = program.stratify()?;
-            let occurrences = program
-                .rules()
-                .iter()
-                .map(|r| {
-                    r.body
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, l)| !l.negated)
-                        .map(|(i, l)| (i, l.relation().to_string()))
-                        .collect()
-                })
-                .collect();
+            let mut occurrences: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+            for (ri, rule) in program.rules().iter().enumerate() {
+                for (bi, lit) in rule.body.iter().enumerate().filter(|(_, l)| !l.negated) {
+                    occurrences
+                        .entry(lit.relation().to_string())
+                        .or_default()
+                        .push((ri, bi));
+                }
+            }
             self.prepared = Some(PreparedProgram {
                 strata: Arc::new(strata),
                 occurrences: Arc::new(occurrences),
@@ -514,7 +512,8 @@ mod tests {
         let mut cache = PlanCache::new();
         let prepared = cache.prepare(&program).unwrap();
         cache.refresh(&program, &db);
-        assert_eq!(prepared.occurrences[1].len(), 2);
+        assert_eq!(prepared.occurrences["path"], vec![(1, 0)]);
+        assert_eq!(prepared.occurrences["edge"], vec![(0, 0), (1, 1)]);
         let plan = cache.delta(&program, 1, 1, db.pool_mut()).unwrap();
         assert_eq!(plan.rule.positives[0].body_index, 1);
         // Id side mirrors the compiled rule's shape.
@@ -534,12 +533,12 @@ mod tests {
         let prepared_tc = cache.prepare(&tc).unwrap();
         cache.refresh(&tc, &db);
         cache.base(&tc, 1, db.pool_mut()).unwrap();
-        assert_eq!(prepared_tc.occurrences.len(), 2);
+        assert_eq!(prepared_tc.occurrences["edge"].len(), 2);
         // A different program must not be evaluated under tc's facts: the
         // cache resets (fewer rules — indexing with tc's rule ids would
         // otherwise panic or silently misplan).
         let prepared_other = cache.prepare(&other).unwrap();
-        assert_eq!(prepared_other.occurrences.len(), 1);
+        assert_eq!(prepared_other.occurrences["edge"].len(), 1);
         cache.refresh(&other, &db);
         let plan = cache.base(&other, 0, db.pool_mut()).unwrap();
         assert_eq!(plan.rule.head_relation, "q");

@@ -84,40 +84,78 @@ fn edge_batch(round: i64) -> HashMap<String, Vec<Tuple>> {
     m
 }
 
-/// Run the fixpoint plus two incremental propagations under `eval` and
-/// return the canonical encoding of the final database.
-fn run_stream(mut eval: Evaluator) -> Vec<u8> {
+/// A batch above the chunk floor: 100 fresh disjoint edges, one of them
+/// hanging off node 5 — enough delta rows for the first rounds to fan out
+/// over the pool, and few rounds in all.
+fn large_edge_batch() -> HashMap<String, Vec<Tuple>> {
+    let mut m = HashMap::new();
+    m.insert(
+        "edge".to_string(),
+        (0..100)
+            .map(|i| int_tuple(&[2000 + 2 * i, 2001 + 2 * i]))
+            .chain(std::iter::once(int_tuple(&[5, 2000])))
+            .collect::<Vec<_>>(),
+    );
+    m
+}
+
+/// Every batch `run_stream` propagates: the two small ones, then the
+/// large one.
+fn batches() -> Vec<HashMap<String, Vec<Tuple>>> {
+    vec![edge_batch(0), edge_batch(1), large_edge_batch()]
+}
+
+/// Run the fixpoint plus the incremental propagations of [`batches`] under
+/// `eval`; return the canonical encoding of the final database and each
+/// propagation's pool task count.
+fn run_stream(mut eval: Evaluator) -> (Vec<u8>, Vec<usize>) {
     let program = program();
     let mut db = edge_db(48, 40);
     let mut cache = PlanCache::new();
     eval.run_filtered_cached(&mut cache, &program, &mut db, None)
         .unwrap();
-    for round in 0..2 {
-        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &edge_batch(round), None)
+    let mut spawned = Vec::new();
+    for batch in batches() {
+        eval.take_stats();
+        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &batch, None)
             .unwrap();
+        spawned.push(eval.take_stats().parallel_tasks_spawned);
     }
-    canonical_bytes(&db)
+    (canonical_bytes(&db), spawned)
 }
 
 /// Datalog-level differential: 1/2/8 workers, the sequential evaluator,
 /// and the naive reference interpreter all reach byte-identical fixpoints.
+/// The small batches stay below the chunk floor and never touch the pool;
+/// the large one runs on it — so both sides of the size test are checked.
 #[test]
 fn fixpoint_bytes_are_worker_count_independent() {
-    let sequential = run_stream(Evaluator::sequential());
+    let (sequential, _) = run_stream(Evaluator::sequential());
     for threads in [1usize, 2, 8] {
-        let parallel = run_stream(Evaluator::with_pool(Pool::new(threads)));
+        let (parallel, spawned) = run_stream(Evaluator::with_pool(Pool::new(threads)));
         assert_eq!(
             parallel, sequential,
             "{threads}-worker encode diverges from sequential"
         );
+        if threads > 1 {
+            assert_eq!(
+                spawned[..2],
+                [0, 0],
+                "{threads} workers: small batches spawned pool tasks"
+            );
+            assert!(
+                spawned[2] > 0,
+                "{threads} workers: the large batch never reached the pool"
+            );
+        }
     }
 
     // The naive reference interpreter (full-stop semantics, no incremental
     // machinery) agrees on the same final instance.
     let program = program();
     let mut oracle = edge_db(48, 40);
-    for round in 0..2 {
-        for (rel, tuples) in edge_batch(round) {
+    for batch in batches() {
+        for (rel, tuples) in batch {
             for t in tuples {
                 oracle.insert(&rel, t).unwrap();
             }
@@ -126,7 +164,7 @@ fn fixpoint_bytes_are_worker_count_independent() {
     run_reference(&program, &mut oracle).unwrap();
     assert_eq!(
         canonical_bytes(&oracle),
-        run_stream(Evaluator::with_pool(Pool::new(8))),
+        run_stream(Evaluator::with_pool(Pool::new(8))).0,
         "8-worker fixpoint diverges from the naive reference interpreter"
     );
 }
@@ -227,9 +265,9 @@ fn cdss_exchange_is_worker_count_independent() {
 #[test]
 fn repeated_parallel_fixpoint_is_stable() {
     let pool = Pool::new(8);
-    let first = run_stream(Evaluator::with_pool(pool.clone()));
+    let first = run_stream(Evaluator::with_pool(pool.clone())).0;
     for round in 0..8 {
-        let again = run_stream(Evaluator::with_pool(pool.clone()));
+        let again = run_stream(Evaluator::with_pool(pool.clone())).0;
         assert_eq!(again, first, "run {round} diverged on the shared pool");
     }
 }
