@@ -38,6 +38,12 @@ impl Writer {
         &self.buf
     }
 
+    /// Make room for at least `additional` more bytes, so a writer whose
+    /// size is known up front grows once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consume the writer, returning its buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -324,6 +330,15 @@ impl Encode for Value {
                 s.encode(w);
             }
         }
+    }
+}
+
+/// The number of bytes [`Value::encode`] writes for `v`.
+pub(crate) fn encoded_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Int(_) => 8,
+        Value::Text(s) => 4 + s.len(),
+        Value::Null(s) => 4 + 4 + s.args.iter().map(encoded_len).sum::<usize>(),
     }
 }
 

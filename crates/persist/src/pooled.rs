@@ -22,41 +22,105 @@
 //! row(arity)  := arity × u32 dict-id             (arity known from schema)
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use orchestra_storage::{Tuple, Value};
+use orchestra_storage::{Tuple, Value, ValueId, ValuePool};
 
-use crate::codec::{decode_seq, encode_seq, Reader, Writer};
+use crate::codec::{decode_seq, encoded_len, Encode, Reader, Writer};
 use crate::error::PersistError;
 use crate::Result;
+
+/// Remap slot of a pool id that no row has used yet.
+const UNSEEN: u32 = u32::MAX;
 
 /// Streaming encoder: rows are written (as dict ids) into an internal
 /// buffer while the dictionary grows; [`PooledEncoder::finish_into`] then
 /// emits the dictionary section followed by the buffered rows.
+///
+/// An encoder bound to a [`ValuePool`] ([`PooledEncoder::with_pool`])
+/// takes interned rows straight from the pool's dense ids
+/// ([`PooledEncoder::put_ids`]): a `ValueId → dict id` remap array
+/// replaces hashing each value, and a value enters the dictionary as a
+/// borrow of the pool's copy. Values given by content resolve through the
+/// pool first, so a value has one dict id however it arrives; only values
+/// the pool has never held (and everything an unbound encoder sees) take
+/// the value-keyed map. Either way the dictionary is in first-use order,
+/// so the bytes depend only on the traversal, not on the pool's ids.
 #[derive(Debug, Default)]
-pub struct PooledEncoder {
-    dict: Vec<Value>,
+pub struct PooledEncoder<'p> {
+    dict: Vec<Cow<'p, Value>>,
     index: HashMap<Value, u32>,
+    pool: Option<&'p ValuePool>,
+    /// Pool id → dict id, [`UNSEEN`] until first use.
+    remap: Vec<u32>,
     /// The id-encoded payload, exposed so callers can interleave plain
     /// fields (counts, names, tags) with pooled values.
     pub rows: Writer,
 }
 
-impl PooledEncoder {
-    /// An empty encoder.
+impl<'p> PooledEncoder<'p> {
+    /// An empty encoder for values that no pool backs.
     pub fn new() -> Self {
         PooledEncoder::default()
     }
 
+    /// An empty encoder that also accepts ids of `pool` ([`Self::put_ids`]).
+    pub fn with_pool(pool: &'p ValuePool) -> Self {
+        PooledEncoder {
+            pool: Some(pool),
+            remap: vec![UNSEEN; pool.len()],
+            ..PooledEncoder::default()
+        }
+    }
+
+    fn push(&mut self, v: Cow<'p, Value>) -> u32 {
+        let id = u32::try_from(self.dict.len()).expect("dictionary fits u32 ids");
+        assert_ne!(id, UNSEEN, "dictionary exhausted the id space");
+        self.dict.push(v);
+        id
+    }
+
+    /// The dict id of an id of the bound pool, admitting its value on
+    /// first use.
+    #[inline]
+    fn intern_id(&mut self, pool: &'p ValuePool, id: ValueId) -> u32 {
+        let slot = self.remap[id.index()];
+        if slot != UNSEEN {
+            return slot;
+        }
+        let slot = self.push(Cow::Borrowed(pool.value(id)));
+        self.remap[id.index()] = slot;
+        slot
+    }
+
     /// Intern a value into the dictionary, returning its dense id.
     pub fn intern(&mut self, v: &Value) -> u32 {
+        if let Some(pool) = self.pool {
+            if let Some(id) = pool.lookup(v) {
+                return self.intern_id(pool, id);
+            }
+        }
         if let Some(&id) = self.index.get(v) {
             return id;
         }
-        let id = u32::try_from(self.dict.len()).expect("dictionary fits u32 ids");
-        self.dict.push(v.clone());
+        let id = self.push(Cow::Owned(v.clone()));
         self.index.insert(v.clone(), id);
         id
+    }
+
+    /// Append one interned row of the bound pool as dict ids (the arity is
+    /// implied by the surrounding schema).
+    ///
+    /// # Panics
+    ///
+    /// If the encoder has no pool ([`Self::with_pool`]).
+    pub fn put_ids(&mut self, row: &[ValueId]) {
+        let pool = self.pool.expect("put_ids needs an encoder bound to a pool");
+        for &id in row {
+            let slot = self.intern_id(pool, id);
+            self.rows.put_u32(slot);
+        }
     }
 
     /// Append one value to the row buffer as a dict id.
@@ -74,14 +138,6 @@ impl PooledEncoder {
         }
     }
 
-    /// Append one tuple as dict ids only (the arity is implied by the
-    /// surrounding schema).
-    pub fn put_row(&mut self, t: &Tuple) {
-        for v in t.values() {
-            self.put_value(v);
-        }
-    }
-
     /// Append a `u32` count followed by self-delimiting tuples.
     pub fn put_tuple_seq<'a>(&mut self, len: usize, tuples: impl Iterator<Item = &'a Tuple>) {
         self.rows
@@ -91,9 +147,15 @@ impl PooledEncoder {
         }
     }
 
-    /// Emit the dictionary section followed by the buffered rows.
+    /// Emit the dictionary section followed by the buffered rows, growing
+    /// `w` once for both.
     pub fn finish_into(self, w: &mut Writer) {
-        encode_seq(&self.dict, w);
+        let dict_len: usize = self.dict.iter().map(|v| encoded_len(v)).sum();
+        w.reserve(4 + dict_len + self.rows.as_bytes().len());
+        w.put_u32(u32::try_from(self.dict.len()).expect("dictionary fits u32 ids"));
+        for v in &self.dict {
+            v.encode(w);
+        }
         w.put_raw(self.rows.as_bytes());
     }
 }
@@ -181,6 +243,7 @@ pub fn decode_tuple_seq_pooled(r: &mut Reader<'_>) -> Result<Vec<Tuple>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_seq;
     use orchestra_storage::tuple::{int_tuple, text_tuple};
     use orchestra_storage::SkolemFnId;
 

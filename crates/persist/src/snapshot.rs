@@ -109,20 +109,37 @@ impl SnapshotRef<'_> {
     /// dictionary order follows the canonical content traversal (relations
     /// in name order, tuples sorted), so equal states encode to identical
     /// bytes regardless of in-memory pool history.
+    ///
+    /// Relations encode from their interned rows: each relation's rows are
+    /// sorted by value ([`Relation::sorted_rows`]) and written through the
+    /// encoder's pool-id remap, so no tuple is materialised and no stored
+    /// value is hashed. Pending edit-log values resolve through the same
+    /// pool (see [`PooledEncoder`]).
+    ///
+    /// [`Relation::sorted_rows`]: orchestra_storage::Relation::sorted_rows
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.epoch);
         w.put_bytes(self.manifest);
-        let mut enc = PooledEncoder::new();
+        let pool = self.db.pool();
+        let mut enc = PooledEncoder::with_pool(pool);
         let relations: Vec<_> = self.db.relations().collect();
+        // Rows are 4 bytes per value; the slack covers each schema and
+        // count (untouched capacity costs no memory).
+        enc.rows.reserve(
+            relations
+                .iter()
+                .map(|rel| 1024 + rel.len() * rel.schema().arity() * 4)
+                .sum(),
+        );
         enc.rows
             .put_u32(u32::try_from(relations.len()).expect("relation count fits u32"));
         for rel in relations {
             rel.schema().encode(&mut enc.rows);
-            let sorted = rel.sorted_tuples();
+            let sorted = rel.sorted_rows(pool);
             enc.rows
                 .put_u32(u32::try_from(sorted.len()).expect("tuple count fits u32"));
-            for t in &sorted {
-                enc.put_row(t);
+            for row in sorted {
+                enc.put_ids(row);
             }
         }
         enc.rows
@@ -219,9 +236,16 @@ pub fn decode_snapshot_v1(r: &mut Reader<'_>) -> Result<Snapshot> {
 }
 
 /// Write a snapshot to `path` atomically: encode, write to `path.tmp`,
-/// fsync, rename over `path`, fsync the directory.
+/// fsync, rename over `path`, fsync the directory. The directory fsync is
+/// what makes the rename durable, so its failure is an error: a caller
+/// that went on to reset its WAL could otherwise lose acknowledged epochs
+/// to a crash that brings back the old snapshot.
+///
+/// Traced as `persist:snapshot-encode` (payload and CRC) followed by
+/// `persist:snapshot-sync` (write, fsync, rename, directory fsync).
 pub fn write_snapshot(path: impl AsRef<Path>, snapshot: SnapshotRef<'_>) -> Result<()> {
     let path = path.as_ref();
+    let encode = orchestra_obs::span("snapshot-encode", "persist");
     let payload = snapshot.to_bytes();
     let len = u32::try_from(payload.len()).map_err(|_| PersistError::FrameTooLarge {
         artifact: "snapshot",
@@ -230,7 +254,9 @@ pub fn write_snapshot(path: impl AsRef<Path>, snapshot: SnapshotRef<'_>) -> Resu
     let mut header = Writer::new();
     header.put_u32(crc32(&payload));
     header.put_u32(len);
+    drop(encode);
 
+    let _sync = orchestra_obs::span("snapshot-sync", "persist");
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp)
         .map_err(|e| PersistError::io(format!("creating snapshot temp {}", tmp.display()), &e))?;
@@ -252,12 +278,18 @@ pub fn write_snapshot(path: impl AsRef<Path>, snapshot: SnapshotRef<'_>) -> Resu
             &e,
         )
     })?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_data();
-        }
-    }
-    Ok(())
+    sync_parent_dir(path)
+}
+
+/// Fsync the directory holding `path`; a bare file name lives in `.`.
+fn sync_parent_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_data())
+        .map_err(|e| PersistError::io(format!("syncing snapshot directory {}", dir.display()), &e))
 }
 
 /// Load and validate a snapshot. Returns `Ok(None)` if the file does not
@@ -346,6 +378,20 @@ mod tests {
         let back = load_snapshot(&path).unwrap().expect("snapshot exists");
         assert_eq!(back, snap);
         assert!(!path.with_extension("tmp").exists(), "temp file cleaned up");
+    }
+
+    #[test]
+    fn directory_sync_covers_bare_file_names_and_reports_failure() {
+        // A bare relative name has an empty parent: its directory is `.`,
+        // which must really be synced rather than silently skipped.
+        sync_parent_dir(Path::new("state.snapshot")).unwrap();
+        let dir = TempDir::new("snap-dirsync");
+        sync_parent_dir(&dir.path().join("state.snapshot")).unwrap();
+        let gone = dir.path().join("missing").join("state.snapshot");
+        assert!(matches!(
+            sync_parent_dir(&gone),
+            Err(PersistError::Io { .. })
+        ));
     }
 
     #[test]

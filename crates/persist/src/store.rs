@@ -73,7 +73,13 @@ impl PersistentStore {
     /// epochs are now folded into the snapshot). If a crash hits between
     /// the two steps, recovery replays the old WAL's epochs onto the new
     /// snapshot; replay skips epochs at or below the snapshot watermark, so
-    /// the result is identical.
+    /// the result is identical. The WAL is reset only once the snapshot's
+    /// rename is durable (directory fsync included); if any step fails the
+    /// error is returned with the WAL untouched, which recovery handles the
+    /// same way.
+    ///
+    /// Traced as `persist:snapshot-write`, with the encode and the sync
+    /// steps of [`write_snapshot`] as child spans.
     pub fn checkpoint(&mut self, snapshot: SnapshotRef<'_>) -> Result<()> {
         let _span = orchestra_obs::span("snapshot-write", "persist");
         let start = std::time::Instant::now();

@@ -31,6 +31,7 @@
 //! exactly the contents it was taken at. This is what makes publishing a
 //! snapshot cost O(pieces written since the last one) rather than O(size).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -401,6 +402,21 @@ impl Relation {
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
         let mut v: Vec<Tuple> = self.iter().cloned().collect();
         v.sort();
+        v
+    }
+
+    /// All interned rows, in the order of [`Relation::sorted_tuples`]: rows
+    /// compare by their values in `pool` (the owning database's pool),
+    /// column by column. Borrows the rows instead of materialising tuples.
+    pub fn sorted_rows(&self, pool: &ValuePool) -> Vec<&[ValueId]> {
+        let mut v: Vec<&[ValueId]> = self.iter_rows().map(|(_, row)| row).collect();
+        // Rows are distinct, so an unstable sort is still deterministic.
+        v.sort_unstable_by(|a, b| {
+            a.iter()
+                .zip(b.iter())
+                .find(|(x, y)| x != y)
+                .map_or(Ordering::Equal, |(&x, &y)| pool.value(x).cmp(pool.value(y)))
+        });
         v
     }
 
@@ -1012,6 +1028,31 @@ mod tests {
         let v = r.sorted_tuples();
         assert_eq!(v[0], int_tuple(&[1, 0]));
         assert_eq!(v[2], int_tuple(&[3, 0]));
+    }
+
+    #[test]
+    fn sorted_rows_follow_the_sorted_tuple_order() {
+        let (mut r, mut p) = rel();
+        // Interned out of value order, with a shared first column and a
+        // dead row, so neither pool ids nor slab order match value order.
+        for t in [
+            Tuple::new(vec![Value::text("b"), Value::int(2)]),
+            Tuple::new(vec![Value::int(7), Value::text("z")]),
+            Tuple::new(vec![Value::text("b"), Value::int(-1)]),
+            Tuple::new(vec![Value::int(3), Value::text("a")]),
+            Tuple::new(vec![Value::text("a"), Value::int(5)]),
+        ] {
+            r.insert(&mut p, t).unwrap();
+        }
+        r.remove(&Tuple::new(vec![Value::int(7), Value::text("z")]))
+            .unwrap();
+        let rows: Vec<Tuple> = r
+            .sorted_rows(&p)
+            .into_iter()
+            .map(|row| row.iter().map(|&id| p.value(id).clone()).collect())
+            .collect();
+        assert_eq!(rows, r.sorted_tuples());
+        assert_eq!(rows.len(), 4);
     }
 
     #[test]

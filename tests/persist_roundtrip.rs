@@ -172,6 +172,157 @@ proptest! {
     }
 }
 
+// -----------------------------------------------------------------------
+// Canonical snapshot bytes: the row-remap encoder against the value-keyed
+// reference, and the golden state dirs' exact bytes.
+// -----------------------------------------------------------------------
+
+/// The value-keyed snapshot payload encoder the row-remap one replaced,
+/// kept as the byte-level reference: every relation materialised as sorted
+/// tuples and every value interned by content, in traversal order.
+fn reference_snapshot_payload(snap: &orchestra_persist::Snapshot) -> Vec<u8> {
+    use orchestra_persist::{PooledEncoder, Writer};
+    let mut w = Writer::new();
+    w.put_u64(snap.epoch);
+    w.put_bytes(&snap.manifest);
+    let mut enc = PooledEncoder::new();
+    let relations: Vec<_> = snap.db.relations().collect();
+    enc.rows.put_u32(relations.len() as u32);
+    for rel in relations {
+        rel.schema().encode(&mut enc.rows);
+        let sorted = rel.sorted_tuples();
+        enc.rows.put_u32(sorted.len() as u32);
+        for v in sorted.iter().flat_map(Tuple::values) {
+            enc.put_value(v);
+        }
+    }
+    enc.rows.put_u32(snap.pending.len() as u32);
+    for p in &snap.pending {
+        enc.rows.put_str(&p.peer);
+        enc.rows.put_u32(p.logs.len() as u32);
+        for log in &p.logs {
+            enc.rows.put_str(log.relation());
+            enc.rows.put_u32(log.len() as u32);
+            for op in log.ops() {
+                op.kind.encode(&mut enc.rows);
+                enc.put_tuple(&op.tuple);
+            }
+        }
+    }
+    enc.finish_into(&mut w);
+    w.into_bytes()
+}
+
+/// A database with a history: tuples inserted, some deleted again (their
+/// values stay in the pool, dead), optionally a pool compaction that
+/// re-stamps every row; plus pending logs that mix the deleted tuples,
+/// live tuples and fresh values the pool has never held.
+fn arb_history_snapshot() -> impl Strategy<Value = orchestra_persist::Snapshot> {
+    (
+        prop::collection::vec(arb_tuple(2), 0..12),
+        prop::collection::vec(arb_tuple(3), 0..12),
+        prop::collection::vec(any::<bool>(), 24..25),
+        any::<bool>(),
+        prop::collection::vec(arb_tuple(2), 0..6),
+        any::<bool>(),
+    )
+        .prop_map(|(a, b, dead, compact, fresh, nullary)| {
+            let mut db = Database::new();
+            db.create_relation(RelationSchema::anonymous("A", 2))
+                .unwrap();
+            db.create_relation(RelationSchema::anonymous("B", 3))
+                .unwrap();
+            db.create_relation(RelationSchema::anonymous("Z", 0))
+                .unwrap();
+            if nullary {
+                db.insert("Z", Tuple::empty()).unwrap();
+            }
+            for t in &a {
+                db.insert("A", t.clone()).unwrap();
+            }
+            for t in &b {
+                db.insert("B", t.clone()).unwrap();
+            }
+            let mut removed_a = Vec::new();
+            let mut removed_b = Vec::new();
+            for (i, t) in a.iter().enumerate() {
+                if dead[i] && db.remove("A", t).unwrap() {
+                    removed_a.push(t.clone());
+                }
+            }
+            for (i, t) in b.iter().enumerate() {
+                if dead[12 + i] && db.remove("B", t).unwrap() {
+                    removed_b.push(t.clone());
+                }
+            }
+            if compact {
+                db.compact_pool();
+            }
+            let mut log_a = EditLog::new("A");
+            for t in &removed_a {
+                log_a.push_insert(t.clone());
+            }
+            for t in fresh {
+                log_a.push_delete(t);
+            }
+            for t in a.iter().take(3) {
+                log_a.push_insert(t.clone());
+            }
+            let mut log_b = EditLog::new("B");
+            for t in removed_b {
+                log_b.push_delete(t);
+            }
+            orchestra_persist::Snapshot {
+                epoch: 11,
+                manifest: vec![9, 8, 7],
+                db,
+                pending: vec![
+                    orchestra_persist::PendingLogs {
+                        peer: "P".into(),
+                        logs: vec![log_a],
+                    },
+                    orchestra_persist::PendingLogs {
+                        peer: "Q".into(),
+                        logs: vec![log_b],
+                    },
+                ],
+            }
+        })
+}
+
+proptest! {
+    /// The row-remap encoder writes exactly the value-keyed reference's
+    /// bytes, and they decode back to the same state.
+    #[test]
+    fn snapshot_encoder_matches_the_value_keyed_reference(snap in arb_history_snapshot()) {
+        use orchestra_persist::Snapshot;
+        let bytes = snap.to_bytes();
+        prop_assert_eq!(&bytes, &reference_snapshot_payload(&snap));
+        let back = Snapshot::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&back, &snap);
+        prop_assert_eq!(back.to_bytes(), bytes);
+    }
+}
+
+/// The committed golden snapshots re-encode to their exact payload bytes.
+#[test]
+fn golden_snapshots_reencode_byte_identically() {
+    use orchestra_persist::snapshot::{load_snapshot, SNAPSHOT_VERSION};
+    for name in ["state_engine0", "state_engine1"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name)
+            .join("state.snapshot");
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(file[4], SNAPSHOT_VERSION, "{name}: current format");
+        let snap = load_snapshot(&path).unwrap().expect("golden snapshot");
+        assert!(snap.db.total_tuples() > 0, "{name}: holds tuples");
+        let payload = &file[13..];
+        assert_eq!(snap.to_bytes(), payload, "{name}: re-encoded bytes");
+        assert_eq!(reference_snapshot_payload(&snap), payload, "{name}");
+    }
+}
+
 /// A legacy v1 snapshot file — its payload assembled with the v1 layout the
 /// codec wrote before the pooled format — must still open.
 #[test]
