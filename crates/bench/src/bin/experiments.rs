@@ -12,8 +12,8 @@
 use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{
     check_against_baseline, entry_json, merge_entry, run_magic_gate, run_obs_overhead,
-    run_parallel_gate, run_point_read_gate, run_point_read_scaling, run_pool_churn,
-    run_publish_gate, run_publish_scaling, run_small_round_gate, run_snapshot, run_thread_sweep,
+    run_point_read_gate, run_point_read_scaling, run_pool_churn, run_publish_gate,
+    run_publish_scaling, run_snapshot,
 };
 use orchestra_bench::{
     run_fig10, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_fig_recovery, Scale,
@@ -118,30 +118,6 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
         }
     }
 
-    // Small-round gate: an incremental exchange whose rounds are below the
-    // chunk floor runs them inline, so at max threads it must cost about
-    // what it costs pinned to one worker in this same run.
-    match run_small_round_gate(scale).verdict() {
-        Ok(line) => println!("small-round gate: {line}"),
-        Err(line) => {
-            eprintln!("SMALL ROUNDS: {line}");
-            return 1;
-        }
-    }
-
-    // Parallel speedup gate: the fixpoint engine at max threads must beat
-    // the same binary pinned to one worker on the dense transitive-closure
-    // workload (skipped with a note on single-core hosts, where no
-    // speedup is physically possible).
-    let gate = run_parallel_gate(scale);
-    match gate.verdict() {
-        Ok(line) => println!("parallel-speedup gate: {line}"),
-        Err(e) => {
-            eprintln!("PARALLEL SPEEDUP: {e}");
-            return 1;
-        }
-    }
-
     // Demand-query gate: a sparse-key point query answered through the
     // magic-sets rewrite must decisively beat computing the full closure
     // and filtering — the whole point of demand-driven evaluation.
@@ -163,11 +139,6 @@ fn snapshot_mode(label: &str, out_path: &str, scale: Scale) -> i32 {
     println!("snapshot mode (scale = {}, label = {label})", scale.0);
     let mut rows = run_snapshot(scale);
     rows.push(run_pool_churn(scale).row);
-    // Thread-count sweep: tc_fixpoint and the fig workloads with the
-    // fixpoint pool pinned to 1/2/4/max workers, so recorded entries show
-    // the parallel engine's speedup trajectory next to the host's core
-    // count (`par_sweep/host_cores`).
-    rows.extend(run_thread_sweep(scale));
     // A/B contrast of the trace recorder's cost on the incremental
     // exchange (see [`run_obs_overhead`]) — recorded so the overhead
     // trajectory is visible across PRs next to the workloads it taxes.

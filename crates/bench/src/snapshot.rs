@@ -125,31 +125,6 @@ fn tc_fixpoint(scale: Scale) -> SnapshotRow {
     )
 }
 
-/// Transitive closure to fixpoint with the evaluator pinned to `threads`
-/// workers. Denser than the `tc_fixpoint` snapshot cell — per-round deltas
-/// of thousands of tuples, enough for chunked parallel rule evaluation to
-/// have something to chew on — so the sweep measures parallelism, not pool
-/// overhead on trivial rounds.
-fn tc_fixpoint_threads(threads: usize, scale: Scale) -> SnapshotRow {
-    let program = parse_program(
-        "path(x, y) :- edge(x, y).\n\
-         path(x, z) :- path(x, y), edge(y, z).",
-    )
-    .unwrap();
-    let chain = scale.entries(150) as i64;
-    let extra = scale.entries(300);
-    let pool = orchestra_pool::Pool::new(threads);
-    measure(
-        &format!("par_sweep/tc_fixpoint/t{threads}"),
-        || tc_database(chain, extra),
-        |db| {
-            let mut eval = Evaluator::with_pool(pool.clone());
-            eval.run(&program, db).unwrap();
-            db.relation("path").unwrap().len()
-        },
-    )
-}
-
 /// Incremental transitive-closure insertions: the delta-join workload,
 /// measured in steady state (persistent evaluator + warm plan cache, as a
 /// long-running exchange service would hold them).
@@ -390,26 +365,10 @@ pub fn run_obs_overhead(scale: Scale) -> Vec<SnapshotRow> {
 /// Figure 5 reduced workload: full recomputation ("time to join") on the
 /// SWISS-PROT-style string dataset.
 fn fig5_join(scale: Scale) -> SnapshotRow {
-    fig5_join_at(scale, None)
-}
-
-/// [`fig5_join`], optionally with the CDSS fixpoint pool pinned to
-/// `threads` workers (sweep rows are named `par_sweep/fig5_join/tN`).
-fn fig5_join_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     let base = scale.entries(50);
-    let name = match threads {
-        None => "fig5_join/strings/pipelined".to_string(),
-        Some(t) => format!("par_sweep/fig5_join/t{t}"),
-    };
     measure(
-        &name,
-        || {
-            let mut g = build_loaded(5, base, DatasetKind::Strings, 0, 23);
-            if let Some(t) = threads {
-                g.cdss.set_eval_threads(t);
-            }
-            g
-        },
+        "fig5_join/strings/pipelined",
+        || build_loaded(5, base, DatasetKind::Strings, 0, 23),
         |g| {
             let report = g.cdss.recompute_all().unwrap();
             report.total_inserted()
@@ -421,24 +380,11 @@ fn fig5_join_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
 /// measured in steady state (the measured batch is generated first, then a
 /// warmup exchange runs, so the batch matches earlier recordings).
 fn fig7_insertions(scale: Scale) -> SnapshotRow {
-    fig7_insertions_at(scale, None)
-}
-
-/// [`fig7_insertions`], optionally with the CDSS fixpoint pool pinned to
-/// `threads` workers (sweep rows are named `par_sweep/fig7_insertions/tN`).
-fn fig7_insertions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     let base = scale.entries(40);
-    let name = match threads {
-        None => "fig7_insertions/strings/pipelined".to_string(),
-        Some(t) => format!("par_sweep/fig7_insertions/t{t}"),
-    };
     measure(
-        &name,
+        "fig7_insertions/strings/pipelined",
         || {
             let mut g = build_loaded(5, base, DatasetKind::Strings, 0, 41);
-            if let Some(t) = threads {
-                g.cdss.set_eval_threads(t);
-            }
             let count = g.entries_for_ratio(0.1);
             let batch = g.fresh_insertions(count);
             for _ in 0..2 {
@@ -456,24 +402,11 @@ fn fig7_insertions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
 
 /// Figure 9 reduced workload: incremental deletions on the integer dataset.
 fn fig9_deletions(scale: Scale) -> SnapshotRow {
-    fig9_deletions_at(scale, None)
-}
-
-/// [`fig9_deletions`], optionally with the CDSS fixpoint pool pinned to
-/// `threads` workers (sweep rows are named `par_sweep/fig9_deletions/tN`).
-fn fig9_deletions_at(scale: Scale, threads: Option<usize>) -> SnapshotRow {
     let base = scale.entries(60);
-    let name = match threads {
-        None => "fig9_deletions/integers/pipelined".to_string(),
-        Some(t) => format!("par_sweep/fig9_deletions/t{t}"),
-    };
     measure(
-        &name,
+        "fig9_deletions/integers/pipelined",
         || {
             let mut g = build_loaded(5, base, DatasetKind::Integers, 0, 43);
-            if let Some(t) = threads {
-                g.cdss.set_eval_threads(t);
-            }
             let count = g.entries_for_ratio(0.1);
             let batch = g.deletion_batch(count);
             (g, batch)
@@ -496,167 +429,6 @@ pub fn run_snapshot(scale: Scale) -> Vec<SnapshotRow> {
     ];
     rows.extend(run_magic_point(scale));
     rows
-}
-
-/// Thread counts exercised by the parallel sweep: 1/2/4 plus the host's
-/// full core count when it exceeds 4. Oversubscribed counts on small hosts
-/// are kept — determinism is thread-count independent, and the rows record
-/// the (absent) speedup honestly.
-pub fn sweep_threads() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    let max = orchestra_pool::hardware_threads();
-    if max > 4 {
-        counts.push(max);
-    }
-    counts
-}
-
-/// Thread-count sweep: tc_fixpoint plus the fig5/fig7/fig9 workloads with
-/// the fixpoint pool pinned to each count from [`sweep_threads`], and a
-/// `par_sweep/host_cores` marker row recording the hardware parallelism
-/// the sweep ran under (`ops` = core count), so recorded speedups can be
-/// read in context.
-pub fn run_thread_sweep(scale: Scale) -> Vec<SnapshotRow> {
-    let mut rows = Vec::new();
-    for t in sweep_threads() {
-        rows.push(tc_fixpoint_threads(t, scale));
-        rows.push(fig5_join_at(scale, Some(t)));
-        rows.push(fig7_insertions_at(scale, Some(t)));
-        rows.push(fig9_deletions_at(scale, Some(t)));
-    }
-    rows.push(SnapshotRow {
-        workload: "par_sweep/host_cores".to_string(),
-        median_ns: 0,
-        ops: orchestra_pool::hardware_threads(),
-        ns_per_op: 0.0,
-        runs: 1,
-    });
-    rows
-}
-
-/// Measurements behind the parallel speedup gate: the dense tc_fixpoint
-/// workload pinned to one worker vs the host's full core count.
-#[derive(Debug, Clone)]
-pub struct ParallelGate {
-    /// Hardware threads available to the run.
-    pub host_cores: usize,
-    /// Worker count of the parallel measurement (`max(2, host_cores)` — the
-    /// parallel code path is exercised even on a single-core host).
-    pub threads_max: usize,
-    /// Median nanoseconds pinned to one worker.
-    pub t1_ns: u128,
-    /// Median nanoseconds at `threads_max` workers.
-    pub tmax_ns: u128,
-}
-
-impl ParallelGate {
-    /// Required speedup of max-threads over one thread on a multi-core
-    /// host.
-    pub const MIN_SPEEDUP: f64 = 1.5;
-
-    /// Measured speedup (>1 means the parallel run was faster).
-    pub fn speedup(&self) -> f64 {
-        self.t1_ns as f64 / self.tmax_ns.max(1) as f64
-    }
-
-    /// Gate verdict: `Ok` with a human-readable line when the speedup bound
-    /// holds — or when the host cannot express parallelism (a single
-    /// hardware thread), in which case the gate records that and passes
-    /// rather than failing on machines that cannot possibly speed up.
-    pub fn verdict(&self) -> Result<String, String> {
-        if self.host_cores <= 1 {
-            return Ok(format!(
-                "skipped: host exposes {} hardware thread(s); measured {} ns at t1 vs {} ns at t{} (parallel path exercised, speedup not assessable)",
-                self.host_cores, self.t1_ns, self.tmax_ns, self.threads_max
-            ));
-        }
-        let s = self.speedup();
-        if s >= Self::MIN_SPEEDUP {
-            Ok(format!(
-                "t{} beats t1 by {s:.2}x on tc_fixpoint ({} ns -> {} ns, {} cores, limit {:.2}x)",
-                self.threads_max,
-                self.t1_ns,
-                self.tmax_ns,
-                self.host_cores,
-                Self::MIN_SPEEDUP
-            ))
-        } else {
-            Err(format!(
-                "t{} is only {s:.2}x faster than t1 on tc_fixpoint ({} ns -> {} ns, {} cores, need >= {:.2}x)",
-                self.threads_max,
-                self.t1_ns,
-                self.tmax_ns,
-                self.host_cores,
-                Self::MIN_SPEEDUP
-            ))
-        }
-    }
-}
-
-/// Run the parallel speedup gate measurements (see [`ParallelGate`]).
-pub fn run_parallel_gate(scale: Scale) -> ParallelGate {
-    let host_cores = orchestra_pool::hardware_threads();
-    let threads_max = host_cores.max(2);
-    let t1 = tc_fixpoint_threads(1, scale);
-    let tmax = tc_fixpoint_threads(threads_max, scale);
-    ParallelGate {
-        host_cores,
-        threads_max,
-        t1_ns: t1.median_ns,
-        tmax_ns: tmax.median_ns,
-    }
-}
-
-/// Measurements behind the small-round gate: the `fig7_insertions`
-/// exchange — every fixpoint round of it below the chunk floor — pinned to
-/// one worker vs the host's full core count, in the same run.
-#[derive(Debug, Clone)]
-pub struct SmallRoundGate {
-    /// Hardware threads available to the run (the max-threads worker count).
-    pub host_cores: usize,
-    /// Median nanoseconds pinned to one worker.
-    pub t1_ns: u128,
-    /// Median nanoseconds at `host_cores` workers.
-    pub tmax_ns: u128,
-}
-
-impl SmallRoundGate {
-    /// How much dearer the max-threads exchange may be than the pinned one.
-    pub const MAX_RATIO: f64 = 1.15;
-
-    /// Measured cost of max threads relative to one (>1 means slower).
-    pub fn ratio(&self) -> f64 {
-        self.tmax_ns as f64 / self.t1_ns.max(1) as f64
-    }
-
-    /// Gate verdict: small rounds run inline, so a bigger pool must not make
-    /// them dearer. Passes on a single-core host, where both runs are
-    /// pinned to one worker.
-    pub fn verdict(&self) -> Result<String, String> {
-        let line = format!(
-            "fig7_insertions at t{} costs {:.2}x its t1 ({} ns vs {} ns, limit {:.2}x)",
-            self.host_cores,
-            self.ratio(),
-            self.tmax_ns,
-            self.t1_ns,
-            Self::MAX_RATIO
-        );
-        if self.host_cores <= 1 || self.ratio() <= Self::MAX_RATIO {
-            Ok(line)
-        } else {
-            Err(line)
-        }
-    }
-}
-
-/// Run the small-round gate measurements (see [`SmallRoundGate`]).
-pub fn run_small_round_gate(scale: Scale) -> SmallRoundGate {
-    let host_cores = orchestra_pool::hardware_threads();
-    SmallRoundGate {
-        host_cores,
-        t1_ns: fig7_insertions_at(scale, Some(1)).median_ns,
-        tmax_ns: fig7_insertions_at(scale, Some(host_cores)).median_ns,
-    }
 }
 
 /// Relation sizes (tuples) of the publish-scaling measurement.
@@ -1039,20 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn small_round_gate_verdict_logic() {
-        let gate = |host_cores, tmax_ns| SmallRoundGate {
-            host_cores,
-            t1_ns: 1_000,
-            tmax_ns,
-        };
-        assert!(gate(2, 1_100).verdict().unwrap().contains("1.10x"));
-        // Small rounds dispatched to the pool cost more than inline ones.
-        assert!(gate(2, 1_580).verdict().unwrap_err().contains("1.58x"));
-        // One core: both measurements are pinned to one worker.
-        assert!(gate(1, 1_580).verdict().is_ok());
-    }
-
-    #[test]
     fn pool_churn_is_bounded_after_compaction() {
         let churn = run_pool_churn(Scale(0.2));
         assert!(churn.row.ops > 0);
@@ -1068,35 +826,6 @@ mod tests {
             churn.pool_after,
             churn.bound()
         );
-    }
-
-    #[test]
-    fn parallel_gate_verdict_logic() {
-        assert!(sweep_threads().starts_with(&[1, 2, 4]));
-        // Single-core hosts skip (pass with a note) regardless of timings.
-        let single = ParallelGate {
-            host_cores: 1,
-            threads_max: 2,
-            t1_ns: 100,
-            tmax_ns: 200,
-        };
-        assert!(single.verdict().is_ok());
-        // Multi-core hosts must clear the speedup bound.
-        let fast = ParallelGate {
-            host_cores: 4,
-            threads_max: 4,
-            t1_ns: 300,
-            tmax_ns: 100,
-        };
-        assert!(fast.speedup() > 2.9);
-        assert!(fast.verdict().is_ok());
-        let flat = ParallelGate {
-            host_cores: 4,
-            threads_max: 4,
-            t1_ns: 100,
-            tmax_ns: 100,
-        };
-        assert!(flat.verdict().is_err());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct CdssBuilder {
     encoding: ProvenanceEncoding,
     persist_dir: Option<std::path::PathBuf>,
     compaction: Option<CompactionPolicy>,
-    eval_threads: Option<usize>,
     errors: Vec<CdssError>,
 }
 
@@ -96,14 +95,6 @@ impl CdssBuilder {
         self
     }
 
-    /// Pin fixpoint evaluation to `threads` workers instead of the
-    /// process-global pool (see [`Cdss::set_eval_threads`]). `1` forces
-    /// fully sequential evaluation.
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads);
-        self
-    }
-
     /// Validate everything and construct the CDSS.
     pub fn build(self) -> Result<Cdss> {
         if let Some(e) = self.errors.into_iter().next() {
@@ -158,9 +149,6 @@ impl CdssBuilder {
         let mut cdss = Cdss::from_parts(peers, relation_owner, system, self.policies, db)?;
         if let Some(policy) = self.compaction {
             cdss.set_compaction_policy(policy);
-        }
-        if let Some(n) = self.eval_threads {
-            cdss.set_eval_threads(n);
         }
         if let Some(dir) = self.persist_dir {
             cdss.attach_persistence(dir)?;
@@ -227,16 +215,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CdssError::UnknownMapping(_)));
-    }
-
-    #[test]
-    fn eval_threads_knob_pins_the_pool_size() {
-        let cdss = CdssBuilder::new()
-            .add_peer("PGUS", gus())
-            .eval_threads(3)
-            .build()
-            .unwrap();
-        assert_eq!(cdss.eval_threads(), 3);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::sync::{Arc, Mutex};
 use orchestra_datalog::rule::Rule;
 use orchestra_datalog::{Evaluator, PlanCache};
 use orchestra_mappings::MappingSystem;
-use orchestra_pool::Pool;
 use orchestra_provenance::{
     PageDirection, ProvenanceExpr, ProvenanceGraph, ProvenanceNeighbor, ProvenanceToken,
 };
@@ -188,11 +187,6 @@ pub struct Cdss {
     /// the lock-free cell readers fetch the latest [`SnapshotView`] from.
     /// Re-published at every commit point (see [`Cdss::publish_snapshot`]).
     snapshots: SnapshotState,
-    /// Explicit thread pool for fixpoint evaluation, set via
-    /// [`crate::CdssBuilder::eval_threads`] or [`Cdss::set_eval_threads`].
-    /// `None` defers to the evaluator's default (the process-global pool,
-    /// sized by `ORCHESTRA_THREADS` or the hardware).
-    eval_pool: Option<orchestra_pool::Pool>,
     /// The static-analysis report of the installed mapping program. Always
     /// error-free (construction and [`Cdss::add_mapping`] reject programs
     /// with errors before installing them); kept for introspection and as a
@@ -232,7 +226,6 @@ impl Cdss {
             compactions_run: 0,
             live_scan: Mutex::new(None),
             snapshots,
-            eval_pool: None,
             analysis,
         };
         // Registered at zero here: the counter is only touched again on
@@ -350,20 +343,11 @@ impl Cdss {
         self.relation_owner.get(relation).map(String::as_str)
     }
 
-    /// Pin fixpoint evaluation to a dedicated pool of `threads` workers
-    /// (1 = strictly sequential). The parallel engine is deterministic, so
-    /// this only trades latency for cores — results are identical at any
-    /// setting. Without this, evaluation uses the process-global pool.
-    pub fn set_eval_threads(&mut self, threads: usize) {
-        self.eval_pool = Some(orchestra_pool::Pool::new(threads));
-    }
-
-    /// The worker count fixpoint evaluation will run with (the dedicated
-    /// pool's size, or the process-global pool's when none is pinned).
+    /// The number of threads fixpoint evaluation runs on: always 1, since
+    /// every round runs inline on the caller. Kept for readers of the
+    /// former pool-size gauge.
     pub fn eval_threads(&self) -> usize {
-        self.eval_pool
-            .as_ref()
-            .map_or_else(|| orchestra_pool::global().threads(), Pool::threads)
+        1
     }
 
     /// The compiled mapping system (tgds, internal program, provenance
@@ -451,7 +435,6 @@ impl Cdss {
             &mut self.db,
             self.graph.get_mut().unwrap_or_else(|e| e.into_inner()),
             &mut self.plans,
-            self.eval_pool.as_ref(),
         )
     }
 
@@ -819,7 +802,7 @@ impl Cdss {
                 })
                 .collect(),
         );
-        let mut eval = make_evaluator(self.eval_pool.as_ref());
+        let mut eval = Evaluator::new();
         let mut out = eval.evaluate_rule(&translated, &mut self.db, None)?;
         out.sort();
         out.dedup();
@@ -916,7 +899,7 @@ const _: () = {
 
 /// The split borrows handed to the evaluation strategies: immutable mapping
 /// system, trust policies and relation ownership alongside mutable database,
-/// provenance-graph cache and plan cache, plus the pinned evaluation pool.
+/// provenance-graph cache and plan cache.
 pub(crate) type EvalParts<'a> = (
     &'a MappingSystem,
     &'a BTreeMap<PeerId, TrustPolicy>,
@@ -924,17 +907,7 @@ pub(crate) type EvalParts<'a> = (
     &'a mut Database,
     &'a mut GraphCache,
     &'a mut PlanCache,
-    Option<&'a orchestra_pool::Pool>,
 );
-
-/// An [`Evaluator`] on the explicitly configured pool when one is set and
-/// the evaluator default otherwise.
-pub(crate) fn make_evaluator(pool: Option<&orchestra_pool::Pool>) -> Evaluator {
-    match pool {
-        Some(p) => Evaluator::with_pool(p.clone()),
-        None => Evaluator::new(),
-    }
-}
 
 /// The provenance graph plus deferred-maintenance state.
 ///

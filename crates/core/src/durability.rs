@@ -443,7 +443,7 @@ impl Cdss {
         {
             // The snapshot carries no graph; it is rebuilt lazily on first
             // provenance read.
-            let (_system, _policies, _owner, _db, graph, _plans, _pool) = cdss.split_for_eval();
+            let (_system, _policies, _owner, _db, graph, _plans) = cdss.split_for_eval();
             graph.invalidate();
         }
         // The build published an empty view before `cdss.db` was swapped in;

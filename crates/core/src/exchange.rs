@@ -22,14 +22,12 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use orchestra_datalog::delta::deletion_candidates;
-use orchestra_datalog::DerivationFilter;
+use orchestra_datalog::{DerivationFilter, Evaluator};
 use orchestra_provenance::ProvenanceToken;
 use orchestra_storage::schema::{internal_name, InternalRole};
 use orchestra_storage::Tuple;
 
-use crate::cdss::{
-    all_trust_all, logical_of_input, make_evaluator, trust_filter, Cdss, PublishedChanges,
-};
+use crate::cdss::{all_trust_all, logical_of_input, trust_filter, Cdss, PublishedChanges};
 use crate::error::CdssError;
 use crate::peer::PeerId;
 use crate::report::{ExchangeReport, ExchangeStrategy, PublishReport};
@@ -93,7 +91,7 @@ impl Cdss {
         let mut report = ExchangeReport::new(ExchangeStrategy::FullRecomputation);
 
         {
-            let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
+            let (system, policies, owner, db, graph, plans) = self.split_for_eval();
 
             for logical in system.logical_relations() {
                 db.relation_mut(&internal_name(&logical, InternalRole::Input))?
@@ -113,7 +111,7 @@ impl Cdss {
             } else {
                 Some(&filter)
             };
-            let mut eval = make_evaluator(pool);
+            let mut eval = Evaluator::new();
             report.eval_stats = eval.run_filtered_cached(plans, &system.program, db, active)?;
 
             for logical in system.logical_relations() {
@@ -162,7 +160,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::IncrementalInsertion);
 
-        let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, plans) = self.split_for_eval();
 
         let base: HashMap<String, Vec<Tuple>> = insertions
             .iter()
@@ -180,7 +178,7 @@ impl Cdss {
         } else {
             Some(&filter)
         };
-        let mut eval = make_evaluator(pool);
+        let mut eval = Evaluator::new();
         let new = eval.propagate_insertions_cached(plans, &system.program, db, &base, active)?;
         report.eval_stats = eval.take_stats();
 
@@ -257,7 +255,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::IncrementalDeletion);
 
-        let (system, policies, owner, db, graph, _plans, _pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, _plans) = self.split_for_eval();
         // The derivability test below needs the graph in sync with the
         // pre-deletion store.
         graph.ensure(system, db);
@@ -370,7 +368,7 @@ impl Cdss {
         let start = Instant::now();
         let mut report = ExchangeReport::new(ExchangeStrategy::DRed);
 
-        let (system, policies, owner, db, graph, plans, pool) = self.split_for_eval();
+        let (system, policies, owner, db, graph, plans) = self.split_for_eval();
 
         // 1. Apply the base changes and seed the over-deletion frontier.
         let mut frontier: HashMap<String, HashSet<Tuple>> = HashMap::new();
@@ -434,7 +432,7 @@ impl Cdss {
         } else {
             Some(&filter)
         };
-        let mut eval = make_evaluator(pool);
+        let mut eval = Evaluator::new();
         let mut rederive: HashMap<String, Vec<Tuple>> = HashMap::new();
         for rule in system.program.rules() {
             let Some(dead) = overdeleted.get(&rule.head.relation) else {

@@ -58,28 +58,13 @@ use crate::Result;
 /// delta tuple.
 pub const DELTA_INDEX_MIN: usize = 16;
 
-/// Smallest per-worker delta chunk: splitting finer than this costs more in
-/// task dispatch than the join work it parallelises. Also the floor below
-/// which a whole round's delta runs inline (see [`Evaluator`]).
-pub const PAR_MIN_CHUNK: usize = 64;
-
-/// Smallest per-head merge batch worth the sharded parallel liveness pass;
-/// below this the sequential insert loop's own dedup is cheaper.
-pub const PAR_DEDUP_MIN: usize = 256;
-
-/// Shard count of the parallel dedup merge (fixed so shard assignment —
-/// `hash % MERGE_SHARDS` — never depends on the worker count).
-pub const MERGE_SHARDS: usize = 16;
-
 /// A predicate consulted before a derived tuple is added to its relation.
 ///
 /// The CDSS layer uses this to enforce trust conditions *during* derivation
 /// (paper §4.2: "as we derive tuples via mapping rules from trusted tuples,
 /// we simply apply the associated trust conditions"). Returning `false`
 /// rejects the tuple: it is neither stored nor used for further derivations.
-/// `Send + Sync` because the parallel fixpoint consults it from worker
-/// threads.
-pub type DerivationFilter<'a> = dyn Fn(&str, &Tuple) -> bool + Send + Sync + 'a;
+pub type DerivationFilter<'a> = dyn Fn(&str, &Tuple) -> bool + 'a;
 
 /// Scan `relation`, keeping tuples whose columns equal the `Some` entries
 /// of `binding`, returned sorted. Runs in id currency: each bound constant
@@ -116,65 +101,21 @@ pub fn bound_scan(db: &Database, relation: &str, binding: &[Option<Value>]) -> R
 
 /// The datalog evaluator. Accumulates [`EvalStats`] across calls.
 ///
-/// ## Parallel fixpoint
-///
-/// When constructed with a thread pool ([`Evaluator::new`] adopts the
-/// process-global pool when it has more than one thread), a fixpoint round
-/// that is big enough to pay for the dispatch fans out over the pool: one
-/// task per rule in round zero, one task per delta *chunk* per rule
-/// occurrence in later rounds. A round of one task, or whose delta is
-/// smaller than [`PAR_MIN_CHUNK`] rows (round zero counts as above it), runs
-/// straight through on the caller instead — a small incremental exchange
-/// never touches the pool. Workers evaluate against a frozen database
-/// snapshot; their head derivations are merged in deterministic task order
-/// (rule, then occurrence, then chunk), so the final instance, its
-/// provenance, and any canonical re-encode are byte-identical at every
-/// worker count — including one.
-///
-/// Determinism rests on the delta-first plan shape: a delta occurrence is
-/// always forced to join position 0, so a chunked delta produces exactly
-/// the per-chunk slices of the unchunked output stream, and concatenating
-/// them in chunk order reproduces it regardless of where the chunk
-/// boundaries fall.
-#[derive(Debug)]
+/// Every fixpoint round runs on the caller's thread: one task per rule in
+/// round zero, one per (rule, delta occurrence) in later rounds. All tasks
+/// of a round read the same database, and their head derivations merge
+/// afterwards in (rule, occurrence) order, so tuple ids — and with them
+/// provenance and every canonical encode — follow from the program and the
+/// data alone.
+#[derive(Debug, Default)]
 pub struct Evaluator {
-    pool: Option<orchestra_pool::Pool>,
     stats: EvalStats,
 }
 
-impl Default for Evaluator {
-    fn default() -> Self {
-        Evaluator::new()
-    }
-}
-
 impl Evaluator {
-    /// Create an evaluator running on the process-global thread pool when
-    /// it has more than one thread (`ORCHESTRA_THREADS` /
-    /// [`orchestra_pool::configure_global`]).
+    /// Create an evaluator with zeroed statistics.
     pub fn new() -> Self {
-        Evaluator::with_pool(orchestra_pool::global().clone())
-    }
-
-    /// Create a single-threaded evaluator regardless of the global pool.
-    pub fn sequential() -> Self {
-        Evaluator {
-            pool: None,
-            stats: EvalStats::new(),
-        }
-    }
-
-    /// Create an evaluator running fixpoint rounds on the given pool.
-    pub fn with_pool(pool: orchestra_pool::Pool) -> Self {
-        Evaluator {
-            pool: (pool.threads() > 1).then_some(pool),
-            stats: EvalStats::new(),
-        }
-    }
-
-    /// The number of threads fixpoint rounds run on (1 = inline).
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, orchestra_pool::Pool::threads)
+        Evaluator::default()
     }
 
     /// Statistics accumulated so far.
@@ -253,14 +194,12 @@ impl Evaluator {
         let pool_before = db.pool_stats();
         let plan_hits_before = cache.hits;
 
-        let workers = self.threads();
-        let steals_before = self.pool.as_ref().map_or(0, |p| p.stats().steals);
         let mut total = EvalStats::new();
         for stratum_rules in &prepared.strata.rule_strata {
             if stratum_rules.is_empty() {
                 continue;
             }
-            let _stratum = orchestra_obs::span_tagged("stratum", "datalog", workers as u64);
+            let _stratum = orchestra_obs::span("stratum", "datalog");
             let s =
                 self.run_stratum_seminaive(cache, &prepared, stratum_rules, program, db, filter)?;
             total += s;
@@ -269,9 +208,6 @@ impl Evaluator {
         total.intern_hits += (pool_after.hits - pool_before.hits) as usize;
         total.intern_misses += (pool_after.misses - pool_before.misses) as usize;
         total.plan_cache_hits += (cache.hits - plan_hits_before) as usize;
-        if let Some(p) = &self.pool {
-            steals_counter().add(p.stats().steals.saturating_sub(steals_before));
-        }
         self.stats += total;
         total.record_to_registry();
         Ok(total)
@@ -369,7 +305,7 @@ impl Evaluator {
     /// Naive (non-semi-naive) evaluation: repeatedly apply every rule of each
     /// stratum, in written body order, until nothing changes. Exponentially
     /// redundant but trivially correct; used as a differential-testing
-    /// oracle for the semi-naive engine. Always sequential.
+    /// oracle for the semi-naive engine.
     pub fn run_naive(&mut self, program: &Program, db: &mut Database) -> Result<EvalStats> {
         program.validate()?;
         let strat = program.stratify()?;
@@ -398,7 +334,7 @@ impl Evaluator {
                         continue;
                     }
                     let outs = vec![(plan.rule.head_relation.as_str(), Some(produced))];
-                    changed |= !merge_round_outputs(db, outs, &mut stats, None)?.is_empty();
+                    changed |= !merge_round_outputs(db, outs, &mut stats)?.is_empty();
                 }
                 stats.iterations = 1;
                 total += stats;
@@ -421,14 +357,14 @@ impl Evaluator {
         filter: Option<&DerivationFilter<'_>>,
     ) -> Result<EvalStats> {
         let mut stats = EvalStats::new();
-        let mut stash = ScratchStash::default();
-        let pool = self.pool.as_ref();
+        let mut sc = EvalScratch::default();
 
         // Round 0: evaluate every rule of the stratum against the full
         // database (one task per rule); the newly inserted tuple ids seed
-        // the delta. All rules of a round see the same frozen snapshot and
-        // their outputs merge afterwards in rule order, so the round
-        // decomposes into independent tasks at any worker count.
+        // the delta. All rules of a round see the same database and their
+        // outputs merge afterwards in rule order. Each round is a span, so
+        // a trace timeline shows the fixpoint converging.
+        let round0 = orchestra_obs::span("recompute-round", "datalog");
         let mut tasks: Vec<RoundTask<'_, '_>> = Vec::with_capacity(stratum_rules.len());
         for &ri in stratum_rules {
             let plan = cache.base(program, ri, db.pool_mut())?;
@@ -440,21 +376,20 @@ impl Evaluator {
                 delta: None,
             });
         }
-        // Base plans scan whole relations: the round counts as above the
-        // chunk floor.
-        let round = (tasks, PAR_MIN_CHUNK);
-        let mut delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
+        let mut delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
         stats.iterations += 1;
+        drop(round0);
 
         // Subsequent rounds: only evaluate this stratum's rule occurrences
         // (its rule ids are ascending) that can consume something from the
         // previous round's delta. Deltas are id sets into the stored
         // relations — nothing is re-materialised between rounds.
         while !delta.is_empty() {
-            let round = delta_round_tasks(cache, program, prepared, db, &delta, pool, |ri| {
+            let _round = orchestra_obs::span("recompute-round", "datalog");
+            let tasks = delta_round_tasks(cache, program, prepared, db, &delta, |ri| {
                 stratum_rules.binary_search(&ri).is_ok()
             })?;
-            delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
+            delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
             stats.iterations += 1;
         }
 
@@ -516,9 +451,7 @@ impl Evaluator {
         }
 
         let mut stats = EvalStats::new();
-        let mut stash = ScratchStash::default();
-        let pool = self.pool.as_ref();
-        let steals_before = pool.map_or(0, |p| p.stats().steals);
+        let mut sc = EvalScratch::default();
         let mut all_new: HashMap<&str, Vec<TupleId>> = HashMap::new();
 
         // Apply the base deltas, keeping only genuinely new tuples (as ids).
@@ -543,19 +476,15 @@ impl Evaluator {
 
         // Push deltas through the rules until fixpoint. Each round is a
         // span, so a trace timeline shows the fixpoint converging.
-        let workers = self.threads() as u64;
         let _fixpoint = orchestra_obs::span("fixpoint-insertions", "datalog");
         while !delta.is_empty() {
-            let _round = orchestra_obs::span_tagged("insert-round", "datalog", workers);
-            let round = delta_round_tasks(cache, program, &prepared, db, &delta, pool, |_| true)?;
-            delta = run_round(pool, cache, db, round, filter, &mut stats, &mut stash)?;
+            let _round = orchestra_obs::span("insert-round", "datalog");
+            let tasks = delta_round_tasks(cache, program, &prepared, db, &delta, |_| true)?;
+            delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
             for (head, fresh) in &delta {
                 all_new.entry(*head).or_default().extend_from_slice(fresh);
             }
             stats.iterations += 1;
-        }
-        if let Some(p) = pool {
-            steals_counter().add(p.stats().steals.saturating_sub(steals_before));
         }
 
         let pool_after = db.pool_stats();
@@ -681,16 +610,16 @@ pub(crate) struct DeltaRows<'a> {
     pub ids: &'a [TupleId],
 }
 
-/// One unit of fixpoint-round work: a rule (base plan) or one chunk of a
-/// delta against one body occurrence of a rule (delta-first plan). Tasks of
-/// a round are independent — they read the same frozen database — and merge
-/// in `Vec` order.
+/// One unit of fixpoint-round work: a rule (base plan) or one body
+/// occurrence of a rule fed the previous round's delta (delta-first plan).
+/// Tasks of a round are independent — they read the same database — and
+/// merge in `Vec` order.
 struct RoundTask<'h, 'd> {
     ri: usize,
     /// The rule's head relation, which the task's output merges into.
     head: &'h str,
-    /// `(body_index, occurrence relation, delta chunk)`; `None` evaluates
-    /// the base plan.
+    /// `(body_index, occurrence relation, delta ids)`; `None` evaluates the
+    /// base plan.
     delta: Option<(usize, &'d str, &'d [TupleId])>,
 }
 
@@ -698,72 +627,24 @@ struct RoundTask<'h, 'd> {
 /// relation.
 type Delta<'h> = Vec<(&'h str, Vec<TupleId>)>;
 
-/// A round's tasks and its size in delta rows (see [`run_round`]).
-type Round<'h, 'd> = (Vec<RoundTask<'h, 'd>>, usize);
-
-/// Shared pool of [`EvalScratch`] buffers: each worker pops one for the
-/// duration of a task and pushes it back, so a round allocates at most one
-/// scratch per concurrently running worker. An inline round borrows the
-/// first one without locking.
-#[derive(Default)]
-struct ScratchStash {
-    free: std::sync::Mutex<Vec<EvalScratch>>,
-}
-
-impl ScratchStash {
-    fn pop(&self) -> EvalScratch {
-        self.free
-            .lock()
-            .expect("scratch stash lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn push(&self, sc: EvalScratch) {
-        self.free.lock().expect("scratch stash lock").push(sc);
-    }
-
-    fn local(&mut self) -> &mut EvalScratch {
-        let free = self.free.get_mut().expect("scratch stash lock");
-        if free.is_empty() {
-            free.push(EvalScratch::default());
-        }
-        &mut free[0]
-    }
-}
-
-/// The `eval_pool_steals_total` counter, resolved once.
-fn steals_counter() -> &'static orchestra_obs::Counter {
-    static HANDLE: std::sync::OnceLock<orchestra_obs::Counter> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| orchestra_obs::counter("eval_pool_steals_total"))
-}
-
 /// Compile and prepare the delta-first plan of every occurrence (of a rule
 /// `in_scope` admits) that can consume a relation of `delta`, and return
-/// one task per delta chunk, in (rule, occurrence, chunk) order, with the
-/// round's size: the rows of the delta relations the tasks consume, each
-/// relation counted once.
+/// one task per occurrence, in (rule, occurrence) order.
 fn delta_round_tasks<'h, 'd>(
     cache: &mut PlanCache,
     program: &'h Program,
     prepared: &'d PreparedProgram,
     db: &mut Database,
     delta: &'d Delta<'_>,
-    pool: Option<&orchestra_pool::Pool>,
     in_scope: impl Fn(usize) -> bool,
-) -> Result<Round<'h, 'd>> {
+) -> Result<Vec<RoundTask<'h, 'd>>> {
     let mut occurrences: Vec<(usize, usize, &str, &[TupleId])> = Vec::new();
-    let mut rows = 0;
     for (relation, ids) in delta {
         let Some(occs) = prepared.occurrences.get(*relation) else {
             continue;
         };
-        let before = occurrences.len();
         for &(ri, body_index) in occs.iter().filter(|(ri, _)| in_scope(*ri)) {
             occurrences.push((ri, body_index, relation, ids));
-        }
-        if occurrences.len() > before {
-            rows += ids.len();
         }
     }
     occurrences.sort_unstable_by_key(|&(ri, body_index, _, _)| (ri, body_index));
@@ -771,66 +652,34 @@ fn delta_round_tasks<'h, 'd>(
     for (ri, body_index, relation, ids) in occurrences {
         let plan = cache.delta(program, ri, body_index, db.pool_mut())?;
         prepare_rule_access(plan, db, Some(body_index))?;
-        let head = program.rules()[ri].head.relation.as_str();
-        for chunk in delta_chunks(ids, pool) {
-            tasks.push(RoundTask {
-                ri,
-                head,
-                delta: Some((body_index, relation, chunk)),
-            });
-        }
+        tasks.push(RoundTask {
+            ri,
+            head: program.rules()[ri].head.relation.as_str(),
+            delta: Some((body_index, relation, ids)),
+        });
     }
-    Ok((tasks, rows))
+    Ok(tasks)
 }
 
-/// Split a round's delta into per-worker chunks. Without a pool, or for a
-/// delta below [`PAR_MIN_CHUNK`], it stays one chunk; otherwise it is
-/// over-partitioned by 4× the worker count so the steal-half scheduler can
-/// balance skewed chunks (whether the round then runs on the pool at all is
-/// [`run_round`]'s size test). Chunk boundaries never affect the result:
-/// the delta occurrence joins at position 0, so per-chunk outputs are
-/// consecutive slices of the unchunked output stream (see [`Evaluator`]
-/// docs).
-fn delta_chunks<'d>(
-    d: &'d [TupleId],
-    pool: Option<&orchestra_pool::Pool>,
-) -> impl Iterator<Item = &'d [TupleId]> {
-    let workers = pool.map_or(1, orchestra_pool::Pool::threads);
-    let size = if workers <= 1 {
-        d.len().max(1)
-    } else {
-        d.len().div_ceil(workers * 4).max(PAR_MIN_CHUNK)
-    };
-    d.chunks(size)
-}
-
-/// Evaluate one fixpoint round's tasks and merge every task's head
-/// derivations into the database in task order. Returns the genuinely new
-/// tuple ids per head relation (the next delta).
-///
-/// The round runs on the pool only when it is big enough to pay for the
-/// dispatch: more than one task, and a delta of at least [`PAR_MIN_CHUNK`]
-/// rows (each relation counted once; a round of base plans passes the
-/// floor itself). Any other round runs straight through on the caller with
-/// one scratch and no per-task boxing, stats fold or timing — and so does
-/// its merge.
+/// Evaluate one fixpoint round's tasks against the database as it stood
+/// when the round began, then merge every task's head derivations in task
+/// order. Returns the genuinely new tuple ids per head relation (the next
+/// delta).
 ///
 /// Every plan a task references must have been compiled
 /// ([`PlanCache::base`] / [`PlanCache::delta`]) and its access paths
-/// prepared ([`prepare_rule_access`]) before the call: workers share the
-/// database and plan cache read-only.
+/// prepared ([`prepare_rule_access`]) before the call.
 fn run_round<'h>(
-    pool: Option<&orchestra_pool::Pool>,
     cache: &PlanCache,
     db: &mut Database,
-    (tasks, rows): Round<'h, '_>,
+    tasks: &[RoundTask<'h, '_>],
     filter: Option<&DerivationFilter<'_>>,
     stats: &mut EvalStats,
-    stash: &mut ScratchStash,
+    sc: &mut EvalScratch,
 ) -> Result<Delta<'h>> {
-    let pool = pool.filter(|_| tasks.len() > 1 && rows >= PAR_MIN_CHUNK);
     let db_ref: &Database = db;
-    let eval_task = |t: &RoundTask<'_, '_>, stats: &mut EvalStats, sc: &mut EvalScratch| {
+    let mut outs: Vec<(&str, Option<ProducedRows>)> = Vec::with_capacity(tasks.len());
+    for t in tasks {
         let (plan, delta) = match t.delta {
             Some((body_index, relation, ids)) => (
                 cache.delta_ref(t.ri, body_index),
@@ -842,122 +691,54 @@ fn run_round<'h>(
             ),
             None => (cache.base_ref(t.ri), None),
         };
-        eval_rule_ids_prepared(plan, db_ref, delta, filter, stats, sc, true)
-    };
-
-    // Non-empty outputs in task order — the order every thread count
-    // merges in.
-    let mut outs: Vec<(&str, Option<ProducedRows>)> = Vec::with_capacity(tasks.len());
-    match pool {
-        Some(p) => {
-            stats.parallel_tasks_spawned += tasks.len();
-            let stash: &ScratchStash = stash;
-            let chunk_seconds = chunk_seconds();
-            let boxed: Vec<orchestra_pool::Task<'_, Result<(ProducedRows, EvalStats)>>> = tasks
-                .iter()
-                .map(|t| {
-                    let f = &eval_task;
-                    Box::new(move || {
-                        let mut task_stats = EvalStats::new();
-                        let mut sc = stash.pop();
-                        let started = std::time::Instant::now();
-                        let produced = f(t, &mut task_stats, &mut sc);
-                        chunk_seconds.observe(started.elapsed());
-                        stash.push(sc);
-                        produced.map(|p| (p, task_stats))
-                    }) as orchestra_pool::Task<'_, _>
-                })
-                .collect();
-            for (t, r) in tasks.iter().zip(p.run(boxed)) {
-                let (produced, task_stats) = r?;
-                *stats += task_stats;
-                if !produced.is_empty() {
-                    outs.push((t.head, Some(produced)));
-                }
-            }
-        }
-        None => {
-            let sc = stash.local();
-            for t in &tasks {
-                let produced = eval_task(t, stats, sc)?;
-                if !produced.is_empty() {
-                    outs.push((t.head, Some(produced)));
-                }
-            }
+        let produced = eval_rule_ids_prepared(plan, db_ref, delta, filter, stats, sc, true)?;
+        if !produced.is_empty() {
+            outs.push((t.head, Some(produced)));
         }
     }
-    merge_round_outputs(db, outs, stats, pool)
-}
-
-/// The `eval_parallel_chunk_seconds` histogram, resolved once.
-fn chunk_seconds() -> &'static orchestra_obs::Histogram {
-    static HANDLE: std::sync::OnceLock<orchestra_obs::Histogram> = std::sync::OnceLock::new();
-    HANDLE.get_or_init(|| orchestra_obs::histogram("eval_parallel_chunk_seconds"))
+    merge_round_outputs(db, outs, stats)
 }
 
 /// Merge the round's task outputs into their head relations — heads in
 /// order of first appearance, each head's batches in task order — and
-/// return the genuinely new tuple ids per head. With a pool (the round ran
-/// on it), large merges run a parallel sharded liveness pre-pass
-/// ([`sharded_liveness`]); the insert loop itself is sequential and
-/// ordered, and [`Relation::insert_row`]'s own duplicate check remains the
-/// final authority either way, so the pre-pass is purely an optimisation.
+/// return the genuinely new tuple ids per head.
 fn merge_round_outputs<'h>(
     db: &mut Database,
     mut outs: Vec<(&'h str, Option<ProducedRows>)>,
     stats: &mut EvalStats,
-    pool: Option<&orchestra_pool::Pool>,
 ) -> Result<Delta<'h>> {
     let mut fresh_by_head: Delta<'h> = Vec::new();
-    let mut batches: Vec<ProducedRows> = Vec::new();
     for i in 0..outs.len() {
         let head = outs[i].0;
-        batches.extend(
-            outs[i..]
-                .iter_mut()
-                .filter(|(h, _)| *h == head)
-                .filter_map(|(_, produced)| produced.take()),
-        );
-        if batches.is_empty() {
+        let mut batches = outs[i..]
+            .iter_mut()
+            .filter(|(h, _)| *h == head)
+            .filter_map(|(_, produced)| produced.take())
+            .peekable();
+        if batches.peek().is_none() {
             continue; // merged with an earlier task of the same head
         }
-        if pool.is_some() {
-            stats.parallel_chunks_merged += batches.len();
-        }
-        let total: usize = batches.iter().map(ProducedRows::len).sum();
-        let live: Option<Vec<bool>> = match pool {
-            Some(p) if total >= PAR_DEDUP_MIN => Some(sharded_liveness(db, head, &batches, p)?),
-            _ => None,
-        };
-        let is_live = |gi: usize| live.as_ref().is_none_or(|l| l[gi]);
         let (rel, vpool) = db.relation_and_pool_mut(head)?;
         let mut fresh = Vec::new();
-        let mut gi = 0usize;
-        for batch in batches.drain(..) {
+        for batch in batches {
             match batch {
                 ProducedRows::Rows { arity, ids, hashes } => {
-                    for (i, &hash) in hashes.iter().enumerate() {
-                        if is_live(gi) {
-                            let row = &ids[i * arity..(i + 1) * arity];
-                            let (tid, new) = rel.insert_row(vpool, row, hash)?;
-                            if new {
-                                stats.tuples_inserted += 1;
-                                fresh.push(tid);
-                            }
+                    for (r, &hash) in hashes.iter().enumerate() {
+                        let row = &ids[r * arity..(r + 1) * arity];
+                        let (tid, new) = rel.insert_row(vpool, row, hash)?;
+                        if new {
+                            stats.tuples_inserted += 1;
+                            fresh.push(tid);
                         }
-                        gi += 1;
                     }
                 }
                 ProducedRows::Tuples(tuples) => {
                     for t in tuples {
-                        if is_live(gi) {
-                            let (tid, new) = rel.insert_full(vpool, t)?;
-                            if new {
-                                stats.tuples_inserted += 1;
-                                fresh.push(tid);
-                            }
+                        let (tid, new) = rel.insert_full(vpool, t)?;
+                        if new {
+                            stats.tuples_inserted += 1;
+                            fresh.push(tid);
                         }
-                        gi += 1;
                     }
                 }
             }
@@ -967,107 +748,6 @@ fn merge_round_outputs<'h>(
         }
     }
     Ok(fresh_by_head)
-}
-
-/// A produced head row viewed in whichever currency its batch carries.
-enum RowRef<'a> {
-    Ids(&'a [ValueId]),
-    Tup(&'a Tuple),
-}
-
-/// Content equality across row currencies. Hash equality got the pair into
-/// the same bucket; this resolves collisions. Interned ids compare as
-/// integers; mixed comparisons resolve ids through the pool.
-fn rows_equal(vpool: &ValuePool, a: &RowRef<'_>, b: &RowRef<'_>) -> bool {
-    match (a, b) {
-        (RowRef::Ids(x), RowRef::Ids(y)) => x == y,
-        (RowRef::Tup(x), RowRef::Tup(y)) => x == y,
-        (RowRef::Ids(ids), RowRef::Tup(t)) | (RowRef::Tup(t), RowRef::Ids(ids)) => {
-            ids.len() == t.arity()
-                && ids
-                    .iter()
-                    .zip(t.values())
-                    .all(|(&id, v)| vpool.value(id) == v)
-        }
-    }
-}
-
-/// Parallel dedup pre-pass over one head's merge batches: rows are sharded
-/// by `content hash % MERGE_SHARDS` (equal rows always land in the same
-/// shard, and shard assignment is independent of the worker count), and
-/// each shard marks a row live unless it is already stored in the relation
-/// or duplicates an earlier row — in global task order — of its own shard.
-/// Exactly the rows the ordered sequential insert would admit stay live.
-fn sharded_liveness(
-    db: &Database,
-    head: &str,
-    batches: &[ProducedRows],
-    pool: &orchestra_pool::Pool,
-) -> Result<Vec<bool>> {
-    let rel = db.relation(head)?;
-    let vpool = db.pool();
-    let mut items: Vec<(u64, RowRef<'_>)> = Vec::new();
-    for batch in batches {
-        match batch {
-            ProducedRows::Rows { arity, ids, hashes } => {
-                for (i, &hash) in hashes.iter().enumerate() {
-                    items.push((hash, RowRef::Ids(&ids[i * arity..(i + 1) * arity])));
-                }
-            }
-            ProducedRows::Tuples(ts) => {
-                for t in ts {
-                    items.push((t.content_hash(), RowRef::Tup(t)));
-                }
-            }
-        }
-    }
-
-    // Shard buckets hold ascending global indices, so each shard scans its
-    // rows in global order.
-    let mut shards: Vec<Vec<u32>> = vec![Vec::new(); MERGE_SHARDS];
-    for (i, (hash, _)) in items.iter().enumerate() {
-        shards[(hash % MERGE_SHARDS as u64) as usize].push(i as u32);
-    }
-
-    let items_ref = &items;
-    let shard_tasks: Vec<orchestra_pool::Task<'_, Vec<u32>>> = shards
-        .iter()
-        .filter(|shard| !shard.is_empty())
-        .map(|shard| {
-            Box::new(move || {
-                let mut live_idx = Vec::new();
-                let mut seen: HashMap<u64, Vec<u32>> = HashMap::new();
-                for &i in shard {
-                    let (hash, row) = &items_ref[i as usize];
-                    let present = match row {
-                        RowRef::Ids(ids) => rel.contains_row_hashed(*hash, ids),
-                        RowRef::Tup(t) => rel.contains_values_hashed(*hash, t.values()),
-                    };
-                    if present {
-                        continue;
-                    }
-                    let bucket = seen.entry(*hash).or_default();
-                    if bucket
-                        .iter()
-                        .any(|&j| rows_equal(vpool, &items_ref[j as usize].1, row))
-                    {
-                        continue;
-                    }
-                    bucket.push(i);
-                    live_idx.push(i);
-                }
-                live_idx
-            }) as orchestra_pool::Task<'_, Vec<u32>>
-        })
-        .collect();
-
-    let mut live = vec![false; items.len()];
-    for shard_live in pool.run(shard_tasks) {
-        for i in shard_live {
-            live[i as usize] = true;
-        }
-    }
-    Ok(live)
 }
 
 /// How a positive literal accesses its relation during the interned join.
@@ -1202,10 +882,10 @@ fn eval_head_term_pooled(term: &CompiledHeadTerm, bindings: &[ValueId], pool: &V
 
 /// The mutable half of a rule application: validate the plan's relations
 /// and make sure the persistent index behind every probing access path
-/// exists, so [`eval_rule_ids_prepared`] can run against `&Database` (and so
-/// fan out across threads). Must be called — sequentially — for every plan
-/// of a round before the round's tasks run; relations do not change between
-/// the two (inserts happen only at the round's merge).
+/// exists, so [`eval_rule_ids_prepared`] can run against `&Database`. Must
+/// be called for every plan of a round before the round's tasks run;
+/// relations do not change between the two (inserts happen only at the
+/// round's merge).
 ///
 /// `delta_body` names the body occurrence a delta will be supplied for, if
 /// any; that occurrence needs no stored-relation index.
@@ -1232,7 +912,7 @@ fn prepare_rule_access(
 /// Evaluate one compiled plan on the interned pipeline and return the head
 /// rows it produces. The read-only half of a rule application: the caller
 /// ran [`prepare_rule_access`] for this plan first, so the database is
-/// shared immutably (workers of a parallel round all borrow the same one).
+/// borrowed immutably (every task of a round borrows the same one).
 ///
 /// `delta` optionally restricts one body occurrence to the supplied rows
 /// (semi-naive evaluation / insertion and deletion delta rules).
@@ -1619,31 +1299,6 @@ mod tests {
         );
         assert!(new.contains_key("path"));
         assert!(new["path"].contains(&int_tuple(&[1, 5])));
-    }
-
-    #[test]
-    fn small_rounds_run_inline_and_large_rounds_on_the_pool() {
-        let program = tc_program();
-        let mut db = edge_db(&[(1, 2), (2, 3)]);
-        let mut cache = PlanCache::new();
-        let mut eval = Evaluator::with_pool(orchestra_pool::Pool::new(2));
-        // Round 0 evaluates both base plans: above the floor, on the pool.
-        let full = eval
-            .run_filtered_cached(&mut cache, &program, &mut db, None)
-            .unwrap();
-        assert!(full.parallel_tasks_spawned >= 2, "{full}");
-
-        // A one-edge delta feeds two occurrences: two tasks, two delta rows
-        // — below the floor, so the round and its merge run inline.
-        eval.take_stats();
-        let mut deltas = HashMap::new();
-        deltas.insert("edge".to_string(), vec![int_tuple(&[3, 4])]);
-        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &deltas, None)
-            .unwrap();
-        let small = eval.take_stats();
-        assert!(small.tuples_inserted > 0, "{small}");
-        assert_eq!(small.parallel_tasks_spawned, 0, "{small}");
-        assert_eq!(small.parallel_chunks_merged, 0, "{small}");
     }
 
     #[test]

@@ -534,7 +534,7 @@ mod tests {
         let binding = vec![Some(Value::int(40)), None];
 
         let mut full_db = chain_db();
-        let mut eval = Evaluator::sequential();
+        let mut eval = Evaluator::new();
         eval.run(&program, &mut full_db).unwrap();
         let full_apps = eval.take_stats().rule_applications;
         let expected = bound_scan(&full_db, "path", &binding).unwrap();

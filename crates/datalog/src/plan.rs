@@ -387,15 +387,15 @@ impl PlanCache {
 
     /// The already-compiled base plan for rule `ri`. Panics if [`base`] has
     /// not been called for this rule since the last invalidation; the
-    /// parallel evaluator pre-compiles every plan sequentially before
-    /// fanning read-only workers out over these shared references.
+    /// evaluator compiles every plan of a round before the round reads the
+    /// database through these shared references.
     ///
     /// [`base`]: PlanCache::base
     pub(crate) fn base_ref(&self, ri: usize) -> &CompiledPlan {
         self.plans[ri]
             .base
             .as_ref()
-            .expect("base plan pre-compiled before parallel round")
+            .expect("base plan pre-compiled before its round")
     }
 
     /// The already-compiled delta-first plan for rule `ri` / occurrence
@@ -406,7 +406,7 @@ impl PlanCache {
         self.plans[ri]
             .deltas
             .get(&body_index)
-            .expect("delta plan pre-compiled before parallel round")
+            .expect("delta plan pre-compiled before its round")
     }
 
     /// The cached demand rewrite for `(predicate, adornment)`, built on
@@ -608,7 +608,7 @@ mod tests {
 
         let binding = vec![Some(Value::int(10)), None];
         let mut cache = PlanCache::new();
-        let mut eval = Evaluator::sequential();
+        let mut eval = Evaluator::new();
         let before = eval
             .run_demand_cached(&mut cache, &program, &mut db, "hop", &binding)
             .unwrap();

@@ -52,11 +52,10 @@ pub struct EvalStats {
     /// Compiled join plans reused from the cross-evaluation [`PlanCache`]
     /// (`crate::plan::PlanCache`) instead of being recompiled.
     pub plan_cache_hits: usize,
-    /// Fixpoint-round tasks dispatched to the worker pool (zero when the
-    /// evaluator runs inline on one thread).
+    /// Always 0: every fixpoint round runs inline on the caller. Kept so
+    /// readers of the former worker-pool counters still compile.
     pub parallel_tasks_spawned: usize,
-    /// Per-head output batches merged through the deterministic sharded
-    /// dedup merge after parallel rounds.
+    /// Always 0, like `parallel_tasks_spawned`.
     pub parallel_chunks_merged: usize,
     /// Magic seed facts inserted by demand-driven (magic-sets) point
     /// queries — one per bound-constant tuple seeding a demand fixpoint.
@@ -86,10 +85,10 @@ impl EvalStats {
     /// Add this counter set into the process-global metrics registry
     /// (`eval_*_total` series), so scrapes see cumulative evaluation
     /// work without threading `EvalStats` through every caller. Handles
-    /// are resolved once and cached; recording is 18 relaxed adds.
+    /// are resolved once and cached; recording is 16 relaxed adds.
     pub fn record_to_registry(&self) {
         use std::sync::OnceLock;
-        static HANDLES: OnceLock<[orchestra_obs::Counter; 18]> = OnceLock::new();
+        static HANDLES: OnceLock<[orchestra_obs::Counter; 16]> = OnceLock::new();
         let handles = HANDLES.get_or_init(|| {
             [
                 orchestra_obs::counter("eval_iterations_total"),
@@ -105,8 +104,6 @@ impl EvalStats {
                 orchestra_obs::counter("eval_intern_hits_total"),
                 orchestra_obs::counter("eval_intern_misses_total"),
                 orchestra_obs::counter("eval_plan_cache_hits_total"),
-                orchestra_obs::counter("eval_parallel_tasks_total"),
-                orchestra_obs::counter("eval_parallel_chunks_merged_total"),
                 orchestra_obs::counter("eval_demand_seed_facts_total"),
                 orchestra_obs::counter("eval_demand_rules_fired_total"),
                 orchestra_obs::counter("eval_demand_plan_cache_hits_total"),
@@ -126,8 +123,6 @@ impl EvalStats {
             self.intern_hits,
             self.intern_misses,
             self.plan_cache_hits,
-            self.parallel_tasks_spawned,
-            self.parallel_chunks_merged,
             self.magic_seed_facts,
             self.demand_rules_fired,
             self.demand_plan_cache_hits,

@@ -5,14 +5,10 @@
 //!
 //! ```text
 //! orchestrad [--addr 127.0.0.1:4747] [--data-dir DIR] [--smoke]
-//!            [--trace FILE] [--metrics-every N] [--threads N]
+//!            [--trace FILE] [--metrics-every N]
 //! ```
 //!
 //! * `--addr` — listen address (use port 0 for an ephemeral port).
-//! * `--threads N` — size the process-global fixpoint worker pool (also
-//!   settable via the `ORCHESTRA_THREADS` environment variable; the flag
-//!   wins). `1` forces fully sequential evaluation. The effective size is
-//!   exported as the `eval_pool_threads` gauge in the metrics exposition.
 //! * `--data-dir` — persistence directory: recovered with
 //!   `Cdss::open_or_recover` when it already holds state, initialised with
 //!   the example scenario otherwise. `Checkpoint` requests then fold the
@@ -43,7 +39,6 @@ struct Args {
     smoke: bool,
     trace: Option<String>,
     metrics_every: Option<u64>,
-    threads: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -53,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         trace: None,
         metrics_every: None,
-        threads: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -77,17 +71,11 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.metrics_every = Some(secs);
             }
-            "--threads" => {
-                let raw = it.next().ok_or("--threads requires a value")?;
-                let n = orchestra_pool::parse_threads(&raw)
-                    .ok_or_else(|| format!("--threads: `{raw}` is not a positive thread count"))?;
-                args.threads = Some(n);
-            }
             "--smoke" => args.smoke = true,
             "--help" | "-h" => {
                 println!(
                     "usage: orchestrad [--addr HOST:PORT] [--data-dir DIR] \
-                     [--trace FILE] [--metrics-every N] [--threads N] [--smoke]"
+                     [--trace FILE] [--metrics-every N] [--smoke]"
                 );
                 std::process::exit(0);
             }
@@ -162,11 +150,7 @@ fn run_smoke(addr: std::net::SocketAddr, persistent: bool) -> Result<String, Net
     }
 
     let metrics = client.metrics()?;
-    for series in [
-        "requests_total",
-        "request_latency_seconds",
-        "eval_pool_threads",
-    ] {
+    for series in ["requests_total", "request_latency_seconds"] {
         if !metrics.contains(series) {
             return Err(NetError::protocol(format!(
                 "metrics exposition is missing `{series}`"
@@ -193,14 +177,6 @@ fn main() -> ExitCode {
 
     if args.trace.is_some() {
         orchestra_obs::trace::enable();
-    }
-
-    if let Some(n) = args.threads {
-        // Best effort: if the global pool was already built (it is not at
-        // this point in main), the existing size stays in effect.
-        if !orchestra_pool::configure_global(n) {
-            eprintln!("orchestrad: worker pool already initialised; --threads ignored");
-        }
     }
 
     let cdss = match build_cdss(args.data_dir.as_deref()) {

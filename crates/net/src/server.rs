@@ -326,10 +326,6 @@ pub fn serve(cdss: Cdss, addr: impl ToSocketAddrs) -> Result<ServerHandle> {
         .local_addr()
         .map_err(|e| NetError::io("resolving local address", &e))?;
 
-    // Expose the fixpoint pool size in the metrics exposition so scrapes
-    // can correlate eval throughput with worker count.
-    orchestra_obs::gauge("eval_pool_threads").set(cdss.eval_threads() as i64);
-
     let reader = cdss.snapshot_reader();
     let shared = Arc::new(Shared {
         cdss: RwLock::new(cdss),

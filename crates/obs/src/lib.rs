@@ -74,10 +74,3 @@ pub fn histogram_with(name: &'static str, labels: &[(&'static str, &str)]) -> Hi
 pub fn span(name: &'static str, cat: &'static str) -> trace::Span {
     trace::span(name, cat)
 }
-
-/// Open a tagged span on the global trace recorder (see
-/// [`trace::span_tagged`]).
-#[must_use = "a span measures until it is dropped"]
-pub fn span_tagged(name: &'static str, cat: &'static str, tag: u64) -> trace::Span {
-    trace::span_tagged(name, cat, tag)
-}

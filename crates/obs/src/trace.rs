@@ -72,25 +72,6 @@ pub fn span(name: &'static str, cat: &'static str) -> Span {
             name,
             cat,
             start_us: now_us(),
-            tag: TAG_NONE,
-        }),
-    }
-}
-
-/// Like [`span`], carrying a small integer tag exported as `args` in the
-/// Chrome trace JSON (the parallel evaluator tags stratum and fixpoint
-/// round spans with the worker count that executed them).
-#[must_use = "a span measures until it is dropped"]
-pub fn span_tagged(name: &'static str, cat: &'static str, tag: u64) -> Span {
-    if !is_enabled() {
-        return Span { armed: None };
-    }
-    Span {
-        armed: Some(SpanData {
-            name,
-            cat,
-            start_us: now_us(),
-            tag: tag.min(TAG_NONE - 1),
         }),
     }
 }
@@ -107,7 +88,6 @@ pub fn event(name: &'static str, cat: &'static str) {
         ts_us: ts,
         dur_us: INSTANT_MARK,
         tid: thread_tag(),
-        tag: TAG_NONE,
     });
 }
 
@@ -115,7 +95,6 @@ struct SpanData {
     name: &'static str,
     cat: &'static str,
     start_us: u64,
-    tag: u64,
 }
 
 /// RAII guard for one traced region.
@@ -133,7 +112,6 @@ impl Drop for Span {
                 ts_us: data.start_us,
                 dur_us: end.saturating_sub(data.start_us),
                 tid: thread_tag(),
-                tag: data.tag,
             });
         }
     }
@@ -163,9 +141,6 @@ pub fn write_chrome_trace(path: impl AsRef<Path>) -> io::Result<usize> {
 
 /// `dur_us` marker distinguishing instant events from spans in a slot.
 const INSTANT_MARK: u64 = u64::MAX;
-
-/// `tag` marker for untagged events in a slot.
-const TAG_NONE: u64 = u64::MAX;
 
 // ── name interning ──────────────────────────────────────────────────────
 // Slots hold integers only; names are `&'static str` interned once by
@@ -219,7 +194,6 @@ struct RawEvent {
     ts_us: u64,
     dur_us: u64,
     tid: u64,
-    tag: u64,
 }
 
 /// One decoded trace event.
@@ -235,9 +209,6 @@ pub struct TraceEvent {
     pub dur_us: Option<u64>,
     /// Recording thread's small integer tag.
     pub tid: u64,
-    /// Optional small integer payload ([`span_tagged`]); exported as
-    /// `args.workers` in the Chrome trace JSON.
-    pub tag: Option<u64>,
 }
 
 /// A slot is a handful of atomics guarded by a sequence word: writers
@@ -251,7 +222,6 @@ struct Slot {
     ts_us: AtomicU64,
     dur_us: AtomicU64,
     tid: AtomicU64,
-    tag: AtomicU64,
 }
 
 /// Fixed-capacity lock-free trace event ring; wraps by overwriting the
@@ -272,7 +242,6 @@ impl TraceRing {
                 ts_us: AtomicU64::new(0),
                 dur_us: AtomicU64::new(0),
                 tid: AtomicU64::new(0),
-                tag: AtomicU64::new(TAG_NONE),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -303,7 +272,6 @@ impl TraceRing {
         slot.ts_us.store(e.ts_us, Ordering::Release);
         slot.dur_us.store(e.dur_us, Ordering::Release);
         slot.tid.store(e.tid, Ordering::Release);
-        slot.tag.store(e.tag, Ordering::Release);
         slot.seq.store(claim + 1, Ordering::Release);
     }
 
@@ -316,7 +284,6 @@ impl TraceRing {
             ts_us,
             dur_us: dur_us.min(INSTANT_MARK - 1),
             tid: thread_tag(),
-            tag: TAG_NONE,
         });
     }
 
@@ -333,7 +300,6 @@ impl TraceRing {
             let ts_us = slot.ts_us.load(Ordering::Acquire);
             let dur_us = slot.dur_us.load(Ordering::Acquire);
             let tid = slot.tid.load(Ordering::Acquire);
-            let tag = slot.tag.load(Ordering::Acquire);
             let after = slot.seq.load(Ordering::Acquire);
             if before != after {
                 continue;
@@ -348,7 +314,6 @@ impl TraceRing {
                     Some(dur_us)
                 },
                 tid,
-                tag: if tag == TAG_NONE { None } else { Some(tag) },
             });
         }
         out.sort_by_key(|e| (e.ts_us, std::cmp::Reverse(e.dur_us)));
@@ -365,27 +330,21 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let args = match e.tag {
-            Some(tag) => format!(",\"args\":{{\"workers\":{tag}}}"),
-            None => String::new(),
-        };
         match e.dur_us {
             Some(dur) => out.push_str(&format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}{}}}",
+                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
                 json_string(e.name),
                 json_string(e.cat),
                 e.ts_us,
                 dur,
-                e.tid,
-                args
+                e.tid
             )),
             None => out.push_str(&format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}{}}}",
+                "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
                 json_string(e.name),
                 json_string(e.cat),
                 e.ts_us,
-                e.tid,
-                args
+                e.tid
             )),
         }
     }
@@ -425,7 +384,6 @@ mod tests {
                 ts_us: i,
                 dur_us: 1,
                 tid: 1,
-                tag: TAG_NONE,
             });
         }
         assert_eq!(ring.recorded(), 20);
@@ -476,7 +434,6 @@ mod tests {
                 ts_us: 100,
                 dur_us: Some(500),
                 tid: 1,
-                tag: None,
             },
             TraceEvent {
                 name: "deletion-round",
@@ -484,7 +441,6 @@ mod tests {
                 ts_us: 120,
                 dur_us: Some(100),
                 tid: 1,
-                tag: Some(4),
             },
             TraceEvent {
                 name: "poison \"quote\"\n",
@@ -492,7 +448,6 @@ mod tests {
                 ts_us: 130,
                 dur_us: None,
                 tid: 2,
-                tag: None,
             },
         ];
         let json = chrome_trace_json(&events);
@@ -526,34 +481,6 @@ mod tests {
         assert_eq!(depth, 0);
         assert!(!in_str);
         assert!(json.contains("\"ts\":120,\"dur\":100"));
-        // Tagged spans export the worker count; untagged spans carry no args.
-        assert!(json.contains("\"args\":{\"workers\":4}"));
-        assert!(!json.contains("\"ts\":100,\"dur\":500,\"pid\":1,\"tid\":1,"));
-    }
-
-    #[test]
-    fn tagged_spans_round_trip_through_the_ring() {
-        let ring = TraceRing::new(8);
-        ring.record(RawEvent {
-            name_id: intern("stratum"),
-            cat_id: intern("datalog"),
-            ts_us: 10,
-            dur_us: 5,
-            tid: 1,
-            tag: 8,
-        });
-        ring.record(RawEvent {
-            name_id: intern("plain"),
-            cat_id: intern("datalog"),
-            ts_us: 20,
-            dur_us: 5,
-            tid: 1,
-            tag: TAG_NONE,
-        });
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].tag, Some(8));
-        assert_eq!(events[1].tag, None);
     }
 
     #[test]

@@ -398,6 +398,11 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay> {
 
 /// Truncate a WAL to its valid prefix, discarding a corrupt tail found by
 /// [`replay`]. Subsequent appends then extend a clean log.
+///
+/// `sync_data` after `set_len` makes the new length durable (a size change
+/// is metadata a later read needs, which `fdatasync` flushes), and a
+/// truncation changes no directory entry, so the parent directory needs no
+/// sync.
 pub fn truncate_wal(path: impl AsRef<Path>, valid_len: u64) -> Result<()> {
     let path = path.as_ref();
     let file = OpenOptions::new().write(true).open(path).map_err(|e| {
@@ -405,14 +410,7 @@ pub fn truncate_wal(path: impl AsRef<Path>, valid_len: u64) -> Result<()> {
     })?;
     file.set_len(valid_len.max(HEADER_LEN))
         .and_then(|()| file.sync_data())
-        .map_err(|e| PersistError::io(format!("truncating wal {}", path.display()), &e))?;
-    // Make sure the directory entry (size) survives a crash too.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_data();
-        }
-    }
-    Ok(())
+        .map_err(|e| PersistError::io(format!("truncating wal {}", path.display()), &e))
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ pub use orchestra_datalog as datalog;
 pub use orchestra_mappings as mappings;
 pub use orchestra_net as net;
 pub use orchestra_persist as persist;
-pub use orchestra_pool as pool;
 pub use orchestra_provenance as provenance;
 pub use orchestra_storage as storage;
 pub use orchestra_workload as workload;

@@ -252,20 +252,6 @@ fn deletion_candidates_reference(
     out
 }
 
-/// Shared worker pools for the parallel differential branches, built once
-/// per test binary so proptest cases don't churn thread spawns.
-fn test_pool(threads: usize) -> orchestra_pool::Pool {
-    use std::sync::OnceLock;
-    static POOLS: OnceLock<[orchestra_pool::Pool; 2]> = OnceLock::new();
-    let [p2, p8] =
-        POOLS.get_or_init(|| [orchestra_pool::Pool::new(2), orchestra_pool::Pool::new(8)]);
-    match threads {
-        2 => p2.clone(),
-        8 => p8.clone(),
-        _ => panic!("test pools exist at 2 and 8 workers, not {threads}"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -325,25 +311,6 @@ proptest! {
             "fixpoint mismatch for program:\n{}",
             program
         );
-
-        // Parallel fixpoint at 2 and 8 workers: byte-identical to the
-        // naive oracle (and hence to the sequential run above) —
-        // determinism must be thread-count independent.
-        for threads in [2usize, 8] {
-            let mut par_db = fresh_db();
-            load_facts(&mut par_db, &base);
-            let mut par_eval = Evaluator::with_pool(test_pool(threads));
-            par_eval.run(&program, &mut par_db).unwrap();
-            par_eval.propagate_insertions(&program, &mut par_db, &batch_map(&batch1), None).unwrap();
-            par_eval.propagate_insertions(&program, &mut par_db, &batch_map(&batch2), None).unwrap();
-            prop_assert_eq!(
-                &canonical_bytes(&par_db),
-                &oracle_bytes,
-                "parallel ({} workers) fixpoint mismatch for program:\n{}",
-                threads,
-                program
-            );
-        }
 
         // The interned engine with a *persistent* plan cache (the CDSS
         // exchange pattern: one cache across the initial run and every
@@ -449,8 +416,7 @@ proptest! {
     /// the magic-sets demand path (seeded from the bound constants,
     /// exploring only the relevant derivation cone) answers exactly the
     /// full fixpoint restricted to the binding — byte-identically under the
-    /// canonical encode, sequentially and at 8 workers — without ever
-    /// materialising the full IDB.
+    /// canonical encode — without ever materialising the full IDB.
     #[test]
     fn demand_answers_match_filtered_full_fixpoint(
         (specs, base, batch1, batch2) in scenario_strategy(),
@@ -477,49 +443,44 @@ proptest! {
         full_eval.run(&program, &mut full_db).unwrap();
         let expected = orchestra_datalog::bound_scan(&full_db, predicate, &binding).unwrap();
 
-        for threads in [None, Some(8usize)] {
-            let mut db = fresh_db();
-            load_facts(&mut db, &facts);
-            let mut cache = orchestra_datalog::PlanCache::new();
-            let mut eval = match threads {
-                None => Evaluator::new(),
-                Some(n) => Evaluator::with_pool(test_pool(n)),
-            };
-            let answers = eval
-                .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
-                .unwrap();
+        let mut db = fresh_db();
+        load_facts(&mut db, &facts);
+        let mut cache = orchestra_datalog::PlanCache::new();
+        let mut eval = Evaluator::new();
+        let answers = eval
+            .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
+            .unwrap();
 
-            // Byte-identical under the canonical codec, not just equal.
-            let mut w_got = Writer::new();
-            orchestra_persist::codec::encode_seq(&answers, &mut w_got);
-            let mut w_want = Writer::new();
-            orchestra_persist::codec::encode_seq(&expected, &mut w_want);
+        // Byte-identical under the canonical codec, not just equal.
+        let mut w_got = Writer::new();
+        orchestra_persist::codec::encode_seq(&answers, &mut w_got);
+        let mut w_want = Writer::new();
+        orchestra_persist::codec::encode_seq(&expected, &mut w_want);
+        prop_assert_eq!(
+            w_got.into_bytes(),
+            w_want.into_bytes(),
+            "demand answers diverge from the filtered full fixpoint \
+             (predicate {}) for program:\n{}",
+            predicate, program
+        );
+
+        // Demand never materialised the full IDB: the stored IDB
+        // relations are exactly as empty as before the query.
+        for idb in IDB {
             prop_assert_eq!(
-                w_got.into_bytes(),
-                w_want.into_bytes(),
-                "demand answers diverge from the filtered full fixpoint \
-                 ({:?} workers, predicate {}) for program:\n{}",
-                threads, predicate, program
+                db.relation(idb).unwrap().len(),
+                0,
+                "demand query filled stored IDB relation {}",
+                idb
             );
-
-            // Demand never materialised the full IDB: the stored IDB
-            // relations are exactly as empty as before the query.
-            for idb in IDB {
-                prop_assert_eq!(
-                    db.relation(idb).unwrap().len(),
-                    0,
-                    "demand query filled stored IDB relation {}",
-                    idb
-                );
-            }
-
-            // Re-asking through the same cache reuses the adorned entry
-            // and still agrees.
-            let again = eval
-                .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
-                .unwrap();
-            prop_assert_eq!(&again, &expected);
         }
+
+        // Re-asking through the same cache reuses the adorned entry
+        // and still agrees.
+        let again = eval
+            .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
+            .unwrap();
+        prop_assert_eq!(&again, &expected);
     }
 }
 
@@ -704,4 +665,152 @@ proptest! {
             prop_assert_eq!(&canonical_provenance(&recomputed), &provenance);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Deterministic large-delta cases: rounds that carry hundreds of delta
+// rows through rules with several occurrences of one relation, and a long
+// exchange stream on the running example.
+// ---------------------------------------------------------------------
+
+/// Transitive closure plus negation plus a two-hop join: an `edge` delta
+/// feeds four occurrences (both of `hop2`'s among them) and a `path` delta
+/// two. `banned` is never in an incremental batch, so negating it keeps
+/// insertion propagation legal.
+fn closure_program() -> Program {
+    orchestra_datalog::parse_program(
+        "path(x, y) :- edge(x, y).\n\
+         path(x, z) :- path(x, y), edge(y, z).\n\
+         hop2(x, z) :- edge(x, y), edge(y, z).\n\
+         blocked(x, y) :- path(x, y), !banned(x, y).",
+    )
+    .unwrap()
+}
+
+/// A chain of `chain` nodes plus `extra` xorshift shortcut edges; every
+/// third chain edge is banned.
+fn closure_db(chain: i64, extra: usize) -> Database {
+    let mut db = Database::new();
+    for rel in ["edge", "path", "hop2", "blocked", "banned"] {
+        db.create_relation(RelationSchema::new(rel, &["s", "d"]))
+            .unwrap();
+    }
+    for i in 0..chain - 1 {
+        db.insert("edge", int_tuple(&[i, i + 1])).unwrap();
+        if i % 3 == 0 {
+            db.insert("banned", int_tuple(&[i, i + 1])).unwrap();
+        }
+    }
+    let mut state: i64 = 88172645463325252;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.rem_euclid(chain)
+    };
+    let mut added = 0;
+    while added < extra {
+        let (a, b) = (next(), next());
+        if a != b && db.insert("edge", int_tuple(&[a, b])).unwrap() {
+            added += 1;
+        }
+    }
+    db
+}
+
+/// Two small edge batches extending the chain, then one of 101 edges (100
+/// disjoint pairs and one hanging off node 5): its first rounds carry well
+/// over a hundred delta rows.
+fn closure_batches() -> Vec<HashMap<String, Vec<Tuple>>> {
+    let small = |round: i64| {
+        (0..6)
+            .map(|i| int_tuple(&[1000 + 10 * round + i, 1001 + 10 * round + i]))
+            .chain(std::iter::once(int_tuple(&[10 * round, 1000 + 10 * round])))
+            .collect::<Vec<_>>()
+    };
+    let large = (0..100)
+        .map(|i| int_tuple(&[2000 + 2 * i, 2001 + 2 * i]))
+        .chain(std::iter::once(int_tuple(&[5, 2000])))
+        .collect::<Vec<_>>();
+    [small(0), small(1), large]
+        .into_iter()
+        .map(|edges| HashMap::from([("edge".to_string(), edges)]))
+        .collect()
+}
+
+/// A fixpoint and three incremental propagations through one plan cache
+/// (the exchange pattern) reach the bytes of the naive reference
+/// interpreter run over the whole edit stream at once.
+#[test]
+fn large_delta_fixpoint_matches_reference() {
+    let program = closure_program();
+    let mut db = closure_db(48, 40);
+    let mut cache = orchestra_datalog::PlanCache::new();
+    let mut eval = Evaluator::new();
+    eval.run_filtered_cached(&mut cache, &program, &mut db, None)
+        .unwrap();
+    for batch in closure_batches() {
+        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &batch, None)
+            .unwrap();
+    }
+
+    let mut oracle = closure_db(48, 40);
+    for batch in closure_batches() {
+        for (rel, tuples) in batch {
+            for t in tuples {
+                oracle.insert(&rel, t).unwrap();
+            }
+        }
+    }
+    run_reference(&program, &mut oracle).unwrap();
+    assert!(oracle.relation("hop2").unwrap().len() > 100);
+    assert_eq!(
+        canonical_bytes(&db),
+        canonical_bytes(&oracle),
+        "large-delta fixpoint diverges from the reference interpreter"
+    );
+}
+
+/// A deterministic interleaved insert/delete stream (xorshift): every edit
+/// is inserted and exchanged, and one in seven is then deleted and
+/// exchanged again, so a delete never names an absent tuple.
+fn xorshift_edits(count: usize) -> Vec<Edit> {
+    let mut state: u64 = 0x9e3779b97f4a7c15;
+    let mut edits = Vec::new();
+    for _ in 0..count {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let r = state;
+        let (a, b, c) = ((r >> 8) % 5, (r >> 16) % 5, (r >> 24) % 5);
+        let edit = ((r % 3) as usize, a as i64, b as i64, c as i64, false);
+        edits.push(edit);
+        if r.is_multiple_of(7) {
+            edits.push((edit.0, edit.1, edit.2, edit.3, true));
+        }
+    }
+    edits
+}
+
+/// A 24-edit exchange stream on the running example leaves the store
+/// byte-identical, with identical canonical provenance, to a replay that
+/// ends in `recompute_all`.
+#[test]
+fn cdss_exchange_stream_matches_recomputation() {
+    let edits = xorshift_edits(24);
+    assert!(edits.iter().any(|e| e.4), "the stream deletes something");
+    let mut live = example_cdss();
+    apply_edits(&mut live, &edits);
+    let mut recomputed = example_cdss();
+    apply_edits(&mut recomputed, &edits);
+    recomputed.recompute_all().unwrap();
+    assert_eq!(
+        canonical_bytes(live.database()),
+        canonical_bytes(recomputed.database()),
+        "incremental exchange stream diverges from recomputation"
+    );
+    assert_eq!(
+        canonical_provenance(&live),
+        canonical_provenance(&recomputed)
+    );
 }

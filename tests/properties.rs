@@ -14,8 +14,7 @@ use orchestra_datalog::program::Program;
 use orchestra_datalog::rule::Rule;
 use orchestra_datalog::Evaluator;
 use orchestra_provenance::{
-    BooleanSemiring, CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring,
-    TropicalSemiring, WhyProvenance,
+    CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring, WhyProvenance,
 };
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::{
@@ -49,17 +48,12 @@ fn token(i: i64) -> ProvenanceToken {
 proptest! {
     #[test]
     fn boolean_semiring_laws(a in any::<bool>(), b in any::<bool>(), c in any::<bool>()) {
-        check_semiring_laws::<BooleanSemiring>(&a, &b, &c);
+        check_semiring_laws::<bool>(&a, &b, &c);
     }
 
     #[test]
     fn counting_semiring_laws(a in 0u64..1000, b in 0u64..1000, c in 0u64..1000) {
         check_semiring_laws(&CountingSemiring(a), &CountingSemiring(b), &CountingSemiring(c));
-    }
-
-    #[test]
-    fn tropical_semiring_laws(a in 0u64..1000, b in 0u64..1000, c in 0u64..1000) {
-        check_semiring_laws(&TropicalSemiring(a), &TropicalSemiring(b), &TropicalSemiring(c));
     }
 
     #[test]
