@@ -246,7 +246,7 @@ impl fmt::Display for ProvenanceExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{CountingSemiring, Lineage, WhyProvenance};
+    use crate::semiring::{CountingSemiring, Lineage, TropicalSemiring, WhyProvenance};
     use orchestra_storage::tuple::int_tuple;
 
     fn tok(name: &str, vals: &[i64]) -> ProvenanceToken {
@@ -326,6 +326,16 @@ mod tests {
         let expr = example_expr();
         let n: CountingSemiring = expr.eval(&|_| CountingSemiring(1), &|_, x| x);
         assert_eq!(n, CountingSemiring(2));
+    }
+
+    #[test]
+    fn tropical_evaluation_costs_cheapest_derivation() {
+        // Cost 1 per mapping application, 0 per token.
+        let expr = example_expr();
+        let cost: TropicalSemiring = expr.eval(&|_| TropicalSemiring(0), &|_, x| {
+            x.times(&TropicalSemiring(1))
+        });
+        assert_eq!(cost, TropicalSemiring(1));
     }
 
     #[test]

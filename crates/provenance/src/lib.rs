@@ -19,8 +19,8 @@
 //! * symbolic [`ProvenanceExpr`]essions with simplification and homomorphic
 //!   evaluation into arbitrary semirings ([`expr`]);
 //! * a library of semiring instances — boolean trust, counting/bag,
-//!   lineage, why-provenance — demonstrating the generality argued in §7
-//!   of the paper ([`semiring`]);
+//!   tropical cost, lineage, why-provenance — demonstrating the generality
+//!   argued in §7 of the paper ([`semiring`]);
 //! * the [`ProvenanceGraph`] of §3.2/Example 5: tuple nodes and mapping
 //!   nodes, from which provenance expressions are generated by backward
 //!   traversal, trust is evaluated as a boolean-semiring homomorphism
@@ -37,5 +37,5 @@ pub mod token;
 
 pub use expr::ProvenanceExpr;
 pub use graph::{MappingNodeId, PageDirection, ProvenanceGraph, ProvenanceNeighbor, TupleNodeId};
-pub use semiring::{CountingSemiring, Lineage, Semiring, WhyProvenance};
+pub use semiring::{CountingSemiring, Lineage, Semiring, TropicalSemiring, WhyProvenance};
 pub use token::{MappingId, ProvenanceToken};

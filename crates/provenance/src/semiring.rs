@@ -77,6 +77,32 @@ impl Semiring for CountingSemiring {
     }
 }
 
+/// The tropical semiring `(ℕ ∪ {∞}, min, +, ∞, 0)`: evaluates a provenance
+/// expression to the cost of the cheapest derivation, a natural fit for the
+/// "ranked trust models" the paper lists as future work (§8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TropicalSemiring(pub u64);
+
+impl TropicalSemiring {
+    /// The infinite cost (additive identity).
+    pub const INFINITY: TropicalSemiring = TropicalSemiring(u64::MAX);
+}
+
+impl Semiring for TropicalSemiring {
+    fn zero() -> Self {
+        TropicalSemiring::INFINITY
+    }
+    fn one() -> Self {
+        TropicalSemiring(0)
+    }
+    fn plus(&self, other: &Self) -> Self {
+        TropicalSemiring(self.0.min(other.0))
+    }
+    fn times(&self, other: &Self) -> Self {
+        TropicalSemiring(self.0.saturating_add(other.0))
+    }
+}
+
 /// Lineage: the set of all base tuples that participate in *some* derivation
 /// (Cui-style lineage, paper §7). `None` is the additive identity
 /// (underivable); `Some(set)` collects contributing tokens.
@@ -197,6 +223,22 @@ mod tests {
         let big = CountingSemiring(u64::MAX);
         assert_eq!(big.plus(&big), big);
         assert_eq!(big.times(&big), big);
+    }
+
+    #[test]
+    fn tropical_semiring_is_shortest_derivation() {
+        let a = TropicalSemiring(4);
+        let b = TropicalSemiring(7);
+        assert_eq!(a.plus(&b), a);
+        assert_eq!(a.times(&b), TropicalSemiring(11));
+        assert_eq!(TropicalSemiring::zero(), TropicalSemiring::INFINITY);
+        assert_eq!(TropicalSemiring::zero().plus(&b), b);
+        assert_eq!(TropicalSemiring::one().times(&b), b);
+        // zero annihilates (saturating add with infinity stays infinity)
+        assert_eq!(
+            TropicalSemiring::zero().times(&b),
+            TropicalSemiring::INFINITY
+        );
     }
 
     #[test]

@@ -666,151 +666,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Deterministic large-delta cases: rounds that carry hundreds of delta
-// rows through rules with several occurrences of one relation, and a long
-// exchange stream on the running example.
-// ---------------------------------------------------------------------
-
-/// Transitive closure plus negation plus a two-hop join: an `edge` delta
-/// feeds four occurrences (both of `hop2`'s among them) and a `path` delta
-/// two. `banned` is never in an incremental batch, so negating it keeps
-/// insertion propagation legal.
-fn closure_program() -> Program {
-    orchestra_datalog::parse_program(
-        "path(x, y) :- edge(x, y).\n\
-         path(x, z) :- path(x, y), edge(y, z).\n\
-         hop2(x, z) :- edge(x, y), edge(y, z).\n\
-         blocked(x, y) :- path(x, y), !banned(x, y).",
-    )
-    .unwrap()
-}
-
-/// A chain of `chain` nodes plus `extra` xorshift shortcut edges; every
-/// third chain edge is banned.
-fn closure_db(chain: i64, extra: usize) -> Database {
-    let mut db = Database::new();
-    for rel in ["edge", "path", "hop2", "blocked", "banned"] {
-        db.create_relation(RelationSchema::new(rel, &["s", "d"]))
-            .unwrap();
-    }
-    for i in 0..chain - 1 {
-        db.insert("edge", int_tuple(&[i, i + 1])).unwrap();
-        if i % 3 == 0 {
-            db.insert("banned", int_tuple(&[i, i + 1])).unwrap();
-        }
-    }
-    let mut state: i64 = 88172645463325252;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.rem_euclid(chain)
-    };
-    let mut added = 0;
-    while added < extra {
-        let (a, b) = (next(), next());
-        if a != b && db.insert("edge", int_tuple(&[a, b])).unwrap() {
-            added += 1;
-        }
-    }
-    db
-}
-
-/// Two small edge batches extending the chain, then one of 101 edges (100
-/// disjoint pairs and one hanging off node 5): its first rounds carry well
-/// over a hundred delta rows.
-fn closure_batches() -> Vec<HashMap<String, Vec<Tuple>>> {
-    let small = |round: i64| {
-        (0..6)
-            .map(|i| int_tuple(&[1000 + 10 * round + i, 1001 + 10 * round + i]))
-            .chain(std::iter::once(int_tuple(&[10 * round, 1000 + 10 * round])))
-            .collect::<Vec<_>>()
-    };
-    let large = (0..100)
-        .map(|i| int_tuple(&[2000 + 2 * i, 2001 + 2 * i]))
-        .chain(std::iter::once(int_tuple(&[5, 2000])))
-        .collect::<Vec<_>>();
-    [small(0), small(1), large]
-        .into_iter()
-        .map(|edges| HashMap::from([("edge".to_string(), edges)]))
-        .collect()
-}
-
-/// A fixpoint and three incremental propagations through one plan cache
-/// (the exchange pattern) reach the bytes of the naive reference
-/// interpreter run over the whole edit stream at once.
-#[test]
-fn large_delta_fixpoint_matches_reference() {
-    let program = closure_program();
-    let mut db = closure_db(48, 40);
-    let mut cache = orchestra_datalog::PlanCache::new();
-    let mut eval = Evaluator::new();
-    eval.run_filtered_cached(&mut cache, &program, &mut db, None)
-        .unwrap();
-    for batch in closure_batches() {
-        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &batch, None)
-            .unwrap();
-    }
-
-    let mut oracle = closure_db(48, 40);
-    for batch in closure_batches() {
-        for (rel, tuples) in batch {
-            for t in tuples {
-                oracle.insert(&rel, t).unwrap();
-            }
-        }
-    }
-    run_reference(&program, &mut oracle).unwrap();
-    assert!(oracle.relation("hop2").unwrap().len() > 100);
-    assert_eq!(
-        canonical_bytes(&db),
-        canonical_bytes(&oracle),
-        "large-delta fixpoint diverges from the reference interpreter"
-    );
-}
-
-/// A deterministic interleaved insert/delete stream (xorshift): every edit
-/// is inserted and exchanged, and one in seven is then deleted and
-/// exchanged again, so a delete never names an absent tuple.
-fn xorshift_edits(count: usize) -> Vec<Edit> {
-    let mut state: u64 = 0x9e3779b97f4a7c15;
-    let mut edits = Vec::new();
-    for _ in 0..count {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let r = state;
-        let (a, b, c) = ((r >> 8) % 5, (r >> 16) % 5, (r >> 24) % 5);
-        let edit = ((r % 3) as usize, a as i64, b as i64, c as i64, false);
-        edits.push(edit);
-        if r.is_multiple_of(7) {
-            edits.push((edit.0, edit.1, edit.2, edit.3, true));
-        }
-    }
-    edits
-}
-
-/// A 24-edit exchange stream on the running example leaves the store
-/// byte-identical, with identical canonical provenance, to a replay that
-/// ends in `recompute_all`.
-#[test]
-fn cdss_exchange_stream_matches_recomputation() {
-    let edits = xorshift_edits(24);
-    assert!(edits.iter().any(|e| e.4), "the stream deletes something");
-    let mut live = example_cdss();
-    apply_edits(&mut live, &edits);
-    let mut recomputed = example_cdss();
-    apply_edits(&mut recomputed, &edits);
-    recomputed.recompute_all().unwrap();
-    assert_eq!(
-        canonical_bytes(live.database()),
-        canonical_bytes(recomputed.database()),
-        "incremental exchange stream diverges from recomputation"
-    );
-    assert_eq!(
-        canonical_provenance(&live),
-        canonical_provenance(&recomputed)
-    );
-}

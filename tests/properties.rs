@@ -14,7 +14,8 @@ use orchestra_datalog::program::Program;
 use orchestra_datalog::rule::Rule;
 use orchestra_datalog::Evaluator;
 use orchestra_provenance::{
-    CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring, WhyProvenance,
+    CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring, TropicalSemiring,
+    WhyProvenance,
 };
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::{
@@ -54,6 +55,11 @@ proptest! {
     #[test]
     fn counting_semiring_laws(a in 0u64..1000, b in 0u64..1000, c in 0u64..1000) {
         check_semiring_laws(&CountingSemiring(a), &CountingSemiring(b), &CountingSemiring(c));
+    }
+
+    #[test]
+    fn tropical_semiring_laws(a in 0u64..1000, b in 0u64..1000, c in 0u64..1000) {
+        check_semiring_laws(&TropicalSemiring(a), &TropicalSemiring(b), &TropicalSemiring(c));
     }
 
     #[test]
