@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_storage::RelationSchema;
 
 /// Identifier of a peer, e.g. `"PBioSQL"`.
@@ -11,7 +9,7 @@ pub type PeerId = String;
 
 /// A peer: an autonomous administrative domain owning a relational schema
 /// and a locally controlled instance (paper §2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Peer {
     /// The peer's identifier.
     pub id: PeerId,

@@ -12,12 +12,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_storage::{Tuple, Value};
 
 /// Comparison operators usable in trust conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -62,7 +60,7 @@ impl fmt::Display for CmpOp {
 
 /// A boolean predicate over a tuple's values, used as a trust condition on a
 /// mapping ("distrust B(i, n) if n ≥ 3", Example 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
     /// Always true (the trivial trust condition).
     True,
@@ -147,7 +145,7 @@ impl fmt::Display for Predicate {
 ///
 /// The default policy trusts everything (the "trivial trust conditions" of
 /// Example 7).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrustPolicy {
     /// Mappings this peer distrusts entirely: any data derived through them
     /// into this peer is rejected.

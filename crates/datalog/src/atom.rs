@@ -3,13 +3,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::term::Term;
 
 /// A datalog atom: a relation name applied to a list of terms, e.g.
 /// `B(i, n)` or `U(n, #f0(n))`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// The relation this atom refers to.
     pub relation: String,
@@ -69,7 +67,7 @@ impl fmt::Display for Atom {
 /// Negation is only allowed when *safe*: every variable of a negated atom
 /// must also occur in a positive atom of the same rule body (the "tgds with
 /// safe negation" of paper §3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Literal {
     /// The underlying atom.
     pub atom: Atom,

@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DatalogError;
 use crate::rule::Rule;
 use crate::Result;
@@ -16,7 +14,7 @@ use crate::Result;
 /// compiles its internal schema mappings `M'` into one such program
 /// (paper §4.1.1): edbs are the local-contribution and rejection tables,
 /// idbs are the input, trusted, output and provenance tables.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     rules: Vec<Rule>,
 }

@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::atom::{Atom, Literal};
 use crate::error::DatalogError;
 use crate::Result;
@@ -14,7 +12,7 @@ use crate::Result;
 /// The head is a single atom (datalog convention; the mapping compiler splits
 /// multi-atom tgd heads into several rules, paper §4.1.1). The body is a
 /// conjunction of positive and negated literals.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// The rule head.
     pub head: Atom,

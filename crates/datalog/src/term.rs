@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_storage::{SkolemFnId, Value};
 
 /// A term occurring in a datalog atom.
@@ -15,7 +13,7 @@ use orchestra_storage::{SkolemFnId, Value};
 ///   terms. Skolem terms are only legal in rule *heads*; they are how the
 ///   mapping compiler encodes existentially quantified variables of tgds
 ///   (paper §4.1.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A named variable.
     Var(String),

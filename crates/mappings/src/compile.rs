@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_datalog::atom::Atom;
 use orchestra_datalog::rule::Rule;
 use orchestra_datalog::term::Term;
@@ -35,7 +33,7 @@ use crate::tgd::Tgd;
 use crate::Result;
 
 /// How provenance relations are laid out (paper §5, "Provenance storage").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProvenanceEncoding {
     /// One provenance relation per tgd, shared by all of its RHS atoms
     /// (the "composite mapping table" the paper found faster in practice).
@@ -47,7 +45,7 @@ pub enum ProvenanceEncoding {
 }
 
 /// A term of an [`AtomTemplate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TemplateTerm {
     /// Copy the value of the given provenance-relation column.
     Col(usize),
@@ -60,7 +58,7 @@ pub enum TemplateTerm {
 
 /// A template for reconstructing a source or target atom's tuple from a
 /// provenance-relation row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomTemplate {
     /// The (internal) relation the atom refers to, e.g. `B_o` or `B_i`.
     pub relation: String,
@@ -94,7 +92,7 @@ impl AtomTemplate {
 
 /// One provenance relation of a compiled mapping, together with the target
 /// atoms it derives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenanceTable {
     /// Name of the provenance relation, e.g. `P_m1`.
     pub relation: String,
@@ -104,7 +102,7 @@ pub struct ProvenanceTable {
 }
 
 /// The result of compiling one tgd.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledMapping {
     /// The mapping's name (`m1`, `m2`, …).
     pub name: String,

@@ -13,8 +13,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_datalog::atom::Atom;
 use orchestra_datalog::parser::parse_atom;
 use orchestra_datalog::term::Term;
@@ -23,7 +21,7 @@ use crate::error::MappingError;
 use crate::Result;
 
 /// A tuple-generating dependency (GLAV mapping) with a name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tgd {
     /// The mapping's name, e.g. `"m1"`. Used as the provenance mapping
     /// function symbol and in trust conditions.

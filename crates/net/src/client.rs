@@ -8,10 +8,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use orchestra_core::{PageDirection, ProvenanceNeighbor, TrustPolicy};
+use orchestra_persist::codec::{Decode, Encode};
 use orchestra_storage::{Tuple, Value};
 
 use crate::error::NetError;
-use crate::frame::{read_frame_expecting, write_frame_versioned, FrameKind};
+use crate::frame::{read_frame_expecting, write_frame, FrameKind};
 use crate::proto::{EditBatch, ExchangeSummary, Request, Response, ServerStats};
 use crate::Result;
 
@@ -19,10 +20,6 @@ use crate::Result;
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
-    /// The frame version requests are sent at (responses arrive at the
-    /// same version — the server echoes it). Defaults to the current
-    /// [`crate::frame::VERSION`]; pin to 1 to act as a legacy client.
-    wire_version: u8,
 }
 
 /// One page of a tuple's provenance neighbors, returned by
@@ -56,32 +53,7 @@ impl NetClient {
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::io("configuring socket", &e))?;
-        Ok(NetClient {
-            stream,
-            wire_version: crate::frame::VERSION,
-        })
-    }
-
-    /// Pin the wire version this client speaks (within
-    /// [`crate::frame::MIN_VERSION`]`..=`[`crate::frame::VERSION`]).
-    /// Version 1 makes the client indistinguishable from a legacy binary:
-    /// requests go out in v1 frames with the legacy payload tags, and the
-    /// server answers in kind.
-    pub fn set_wire_version(&mut self, version: u8) -> Result<()> {
-        if !(crate::frame::MIN_VERSION..=crate::frame::VERSION).contains(&version) {
-            return Err(NetError::protocol(format!(
-                "unsupported wire version {version} (supported: {}..={})",
-                crate::frame::MIN_VERSION,
-                crate::frame::VERSION
-            )));
-        }
-        self.wire_version = version;
-        Ok(())
-    }
-
-    /// The wire version this client currently speaks.
-    pub fn wire_version(&self) -> u8 {
-        self.wire_version
+        Ok(NetClient { stream })
     }
 
     /// Connect, retrying `attempts` times with `delay` between attempts —
@@ -104,19 +76,11 @@ impl NetClient {
         Err(last)
     }
 
-    /// Issue one raw request and decode the response frame. The request is
-    /// encoded at the client's pinned wire version; the response is decoded
-    /// at whatever version its frame carries (a negotiating server echoes
-    /// the request's version).
+    /// Issue one raw request and decode the response frame.
     pub fn call(&mut self, request: &Request) -> Result<Response> {
-        write_frame_versioned(
-            &mut self.stream,
-            FrameKind::Request,
-            &request.to_bytes_versioned(self.wire_version),
-            self.wire_version,
-        )?;
-        let (version, payload) = read_frame_expecting(&mut self.stream, FrameKind::Response)?;
-        Ok(Response::from_bytes_versioned(&payload, version)?)
+        write_frame(&mut self.stream, FrameKind::Request, &request.to_bytes())?;
+        let payload = read_frame_expecting(&mut self.stream, FrameKind::Response)?;
+        Ok(Response::from_bytes(&payload)?)
     }
 
     fn expect_error(response: Response) -> NetError {
@@ -250,45 +214,23 @@ impl NetClient {
 
     /// The server's metrics registry in Prometheus-style text exposition:
     /// per-request counters and latency histograms, plus the engine-level
-    /// series (exchange phases, WAL timings, eval counters). Requires wire
-    /// version 5; a client pinned lower refuses locally rather than
-    /// confusing an old server with a tag it cannot decode.
+    /// series (exchange phases, WAL timings, eval counters).
     pub fn metrics(&mut self) -> Result<String> {
-        if self.wire_version < 5 {
-            return Err(NetError::protocol(format!(
-                "the Metrics request requires wire version 5 (client pinned to {})",
-                self.wire_version
-            )));
-        }
         match self.call(&Request::Metrics)? {
             Response::Metrics(text) => Ok(text),
             other => Err(Self::expect_error(other)),
         }
     }
 
-    /// Refuse locally when the pinned wire version predates the bound
-    /// point queries and provenance cursor, instead of confusing an old
-    /// server with a tag it cannot decode.
-    fn require_v6(&self, what: &str) -> Result<()> {
-        if self.wire_version < 6 {
-            return Err(NetError::protocol(format!(
-                "{what} requires wire version 6 (client pinned to {})",
-                self.wire_version
-            )));
-        }
-        Ok(())
-    }
-
     /// Point query over the local instance of a peer's relation: tuples
     /// whose columns equal the `Some` entries of `binding`, sorted. Only
-    /// matching tuples cross the wire. Requires wire version 6.
+    /// matching tuples cross the wire.
     pub fn query_local_where(
         &mut self,
         peer: &str,
         relation: &str,
         binding: Vec<Option<Value>>,
     ) -> Result<Vec<Tuple>> {
-        self.require_v6("QueryLocalWhere")?;
         let request = Request::QueryLocalWhere {
             peer: peer.to_string(),
             relation: relation.to_string(),
@@ -301,14 +243,13 @@ impl NetClient {
     }
 
     /// [`NetClient::query_local_where`] restricted to certain answers
-    /// (tuples with labeled nulls dropped). Requires wire version 6.
+    /// (tuples with labeled nulls dropped).
     pub fn query_certain_where(
         &mut self,
         peer: &str,
         relation: &str,
         binding: Vec<Option<Value>>,
     ) -> Result<Vec<Tuple>> {
-        self.require_v6("QueryCertainWhere")?;
         let request = Request::QueryCertainWhere {
             peer: peer.to_string(),
             relation: relation.to_string(),
@@ -324,7 +265,6 @@ impl NetClient {
     /// `token` to open the cursor, then the previous page's `next` to
     /// resume; a token outliving the snapshot epoch it was issued at is
     /// refused by the server (`BadRequest`) and pagination must restart.
-    /// Requires wire version 6.
     pub fn provenance_page(
         &mut self,
         relation: &str,
@@ -333,7 +273,6 @@ impl NetClient {
         token: Option<String>,
         limit: u32,
     ) -> Result<ProvenancePage> {
-        self.require_v6("ProvenancePage")?;
         let request = Request::ProvenancePage {
             relation: relation.to_string(),
             tuple,
@@ -354,9 +293,8 @@ impl NetClient {
     /// its static analyzer over the extended mapping set first; a rejected
     /// program surfaces as a `BadRequest` error whose message carries the
     /// rendered diagnostics (`error[E001]: …`), and the server keeps its
-    /// previous mappings. Requires wire version 6.
+    /// previous mappings.
     pub fn add_mapping(&mut self, name: &str, text: &str) -> Result<()> {
-        self.require_v6("AddMapping")?;
         let request = Request::AddMapping {
             name: name.to_string(),
             text: text.to_string(),

@@ -6,7 +6,7 @@
 //! +--------+---------+--------+-------------+------------+=============+
 //! | magic  | version | kind   | payload_len | crc32      | payload     |
 //! | u32 LE | u8      | u8     | u32 LE      | u32 LE     | payload_len |
-//! | "ORCN" | 1..=6   | 0 / 1  |             | of payload | bytes       |
+//! | "ORCN" | 6       | 0 / 1  |             | of payload | bytes       |
 //! +--------+---------+--------+-------------+------------+=============+
 //! ```
 //!
@@ -28,21 +28,10 @@ use crate::Result;
 /// Frame magic: `"ORCN"` in little-endian byte order.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"ORCN");
 
-/// Wire-format version carried in every frame header. Version 2 added the
-/// pooled bulk payloads; version 3 extended the `Stats` field layout with
-/// the pool-compaction counters; version 4 extended it again with the
-/// snapshot-subsystem counters; version 5 added the `Metrics` request and
-/// its text-exposition response; version 6 adds the bound point queries
-/// (`QueryLocalWhere`/`QueryCertainWhere`) and the paginated
-/// `ProvenancePage` cursor (no existing layout changed). Older-version
-/// frames are still accepted on read, and a responder **echoes the
-/// requester's frame version**, encoding its payload in that version's
-/// vocabulary — so mixed-version deployments interoperate; see `proto`'s
-/// module docs.
+/// Wire-format version carried in every frame header: the one vocabulary
+/// this crate speaks (see `proto`'s module docs). A frame stamped with any
+/// other version is refused on read.
 pub const VERSION: u8 = 6;
-/// Oldest frame version still accepted on read (and emittable via
-/// [`write_frame_versioned`]).
-pub const MIN_VERSION: u8 = 1;
 
 /// Upper bound on a frame payload (64 MiB): a garbage length prefix must
 /// not make the receiver allocate unbounded memory.
@@ -77,28 +66,8 @@ impl FrameKind {
     }
 }
 
-/// Write one frame (header + payload) at the current [`VERSION`] and flush
-/// the stream.
+/// Write one frame (header + payload) at [`VERSION`] and flush the stream.
 pub fn write_frame(stream: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<()> {
-    write_frame_versioned(stream, kind, payload, VERSION)
-}
-
-/// Write one frame stamped with an explicit wire version (within
-/// [`MIN_VERSION`]`..=`[`VERSION`]) and flush the stream. Responders use
-/// this to echo the requester's frame version; the *payload* must already
-/// be encoded in that version's vocabulary (the frame layer does not
-/// translate).
-pub fn write_frame_versioned(
-    stream: &mut impl Write,
-    kind: FrameKind,
-    payload: &[u8],
-    version: u8,
-) -> Result<()> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(NetError::protocol(format!(
-            "cannot emit wire version {version} (supported: {MIN_VERSION}..={VERSION})"
-        )));
-    }
     let len = u32::try_from(payload.len())
         .map_err(|_| NetError::protocol("payload exceeds u32 length"))?;
     if len > MAX_PAYLOAD_LEN {
@@ -108,7 +77,7 @@ pub fn write_frame_versioned(
     }
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = version;
+    header[4] = VERSION;
     header[5] = kind.as_u8();
     header[6..10].copy_from_slice(&len.to_le_bytes());
     header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
@@ -175,14 +144,12 @@ fn read_full(stream: &mut impl Read, buf: &mut [u8], started: bool, what: &str) 
     Ok(())
 }
 
-/// Read one frame, verify its header and CRC, and return
-/// `(kind, version, payload)` — the frame's wire version is surfaced so the
-/// receiver can echo it (server) or pick the matching payload decoder
-/// (client).
+/// Read one frame, verify its header and CRC, and return `(kind, payload)`.
+/// A frame stamped with a version other than [`VERSION`] is refused.
 ///
 /// A clean EOF before the first header byte is reported as
 /// [`NetError::Disconnected`]; EOF mid-frame is a protocol violation.
-pub fn read_frame(stream: &mut impl Read) -> Result<(FrameKind, u8, Vec<u8>)> {
+pub fn read_frame(stream: &mut impl Read) -> Result<(FrameKind, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     read_full(stream, &mut header, false, "frame header")?;
 
@@ -193,9 +160,9 @@ pub fn read_frame(stream: &mut impl Read) -> Result<(FrameKind, u8, Vec<u8>)> {
         )));
     }
     let version = header[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(NetError::protocol(format!(
-            "unsupported wire version {version} (accepted: {MIN_VERSION}..={VERSION})"
+            "unsupported wire version {version} (this build speaks {VERSION})"
         )));
     }
     let kind = FrameKind::from_u8(header[5])?;
@@ -215,24 +182,25 @@ pub fn read_frame(stream: &mut impl Read) -> Result<(FrameKind, u8, Vec<u8>)> {
             "frame CRC mismatch (header {expected_crc:#010x}, payload {actual_crc:#010x})"
         )));
     }
-    Ok((kind, version, payload))
+    Ok((kind, payload))
 }
 
-/// Read one frame and require it to be of `expected` kind; returns the
-/// frame's wire version and payload.
-pub fn read_frame_expecting(stream: &mut impl Read, expected: FrameKind) -> Result<(u8, Vec<u8>)> {
-    let (kind, version, payload) = read_frame(stream)?;
+/// Read one frame and require it to be of `expected` kind; returns its
+/// payload.
+pub fn read_frame_expecting(stream: &mut impl Read, expected: FrameKind) -> Result<Vec<u8>> {
+    let (kind, payload) = read_frame(stream)?;
     if kind != expected {
         return Err(NetError::protocol(format!(
             "expected a {expected:?} frame, got {kind:?}"
         )));
     }
-    Ok((version, payload))
+    Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -241,34 +209,13 @@ mod tests {
         write_frame(&mut buf, FrameKind::Request, b"hello").unwrap();
         write_frame(&mut buf, FrameKind::Response, b"").unwrap();
         let mut cur = Cursor::new(buf);
-        let (kind, version, payload) = read_frame(&mut cur).unwrap();
+        let (kind, payload) = read_frame(&mut cur).unwrap();
         assert_eq!(kind, FrameKind::Request);
-        assert_eq!(version, VERSION);
         assert_eq!(payload, b"hello");
-        let (kind, _, payload) = read_frame(&mut cur).unwrap();
+        let (kind, payload) = read_frame(&mut cur).unwrap();
         assert_eq!(kind, FrameKind::Response);
         assert!(payload.is_empty());
         assert_eq!(read_frame(&mut cur).unwrap_err(), NetError::Disconnected);
-    }
-
-    #[test]
-    fn versioned_frames_carry_their_version() {
-        let mut buf = Vec::new();
-        write_frame_versioned(&mut buf, FrameKind::Request, b"old", 1).unwrap();
-        let (kind, version, payload) = read_frame(&mut Cursor::new(buf)).unwrap();
-        assert_eq!((kind, version), (FrameKind::Request, 1));
-        assert_eq!(payload, b"old");
-        // Out-of-range versions are refused at the writer, not on the wire.
-        let mut buf = Vec::new();
-        assert!(matches!(
-            write_frame_versioned(&mut buf, FrameKind::Request, b"", 0),
-            Err(NetError::Protocol(m)) if m.contains("version")
-        ));
-        assert!(matches!(
-            write_frame_versioned(&mut buf, FrameKind::Request, b"", VERSION + 1),
-            Err(NetError::Protocol(m)) if m.contains("version")
-        ));
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -293,13 +240,18 @@ mod tests {
             Err(NetError::Protocol(m)) if m.contains("magic")
         ));
 
-        // Unsupported version.
-        let mut bad = buf.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(bad)),
-            Err(NetError::Protocol(m)) if m.contains("version")
-        ));
+        // Every version but the current one is refused, naming both.
+        assert_eq!(buf[4], VERSION);
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut bad = buf.clone();
+            bad[4] = version;
+            assert_eq!(
+                read_frame(&mut Cursor::new(bad)),
+                Err(NetError::protocol(format!(
+                    "unsupported wire version {version} (this build speaks 6)"
+                )))
+            );
+        }
 
         // Unknown kind.
         let mut bad = buf.clone();
@@ -323,6 +275,101 @@ mod tests {
             read_frame(&mut Cursor::new(bad)),
             Err(NetError::Protocol(m)) if m.contains("limit")
         ));
+    }
+
+    /// What any byte string read as a frame may yield: an error, or a
+    /// payload within the checked length.
+    fn read_is_contained(bytes: &[u8]) -> Result<(FrameKind, Vec<u8>)> {
+        let read = read_frame(&mut Cursor::new(bytes));
+        if let Ok((_, payload)) = &read {
+            assert!(payload.len() <= MAX_PAYLOAD_LEN as usize);
+        }
+        read
+    }
+
+    fn frame_of(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, kind, payload).unwrap();
+        buf
+    }
+
+    fn any_kind() -> impl Strategy<Value = FrameKind> {
+        any::<bool>().prop_map(|r| {
+            if r {
+                FrameKind::Request
+            } else {
+                FrameKind::Response
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+            let _ = read_is_contained(&bytes);
+        }
+
+        /// Arbitrary headers that get past the magic and version checks,
+        /// length prefixes around the limit included.
+        #[test]
+        fn arbitrary_headers_never_panic(
+            kind in any::<u8>(),
+            len in prop_oneof![
+                0u32..64,
+                MAX_PAYLOAD_LEN - 2..MAX_PAYLOAD_LEN + 3,
+                any::<u32>(),
+            ],
+            crc in any::<u32>(),
+            rest in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut bytes = MAGIC.to_le_bytes().to_vec();
+            bytes.extend([VERSION, kind]);
+            bytes.extend(len.to_le_bytes());
+            bytes.extend(crc.to_le_bytes());
+            bytes.extend(rest);
+            let _ = read_is_contained(&bytes);
+        }
+
+        #[test]
+        fn every_truncation_is_refused(
+            kind in any_kind(),
+            payload in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let frame = frame_of(kind, &payload);
+            prop_assert_eq!(read_is_contained(&frame), Ok((kind, payload)));
+            prop_assert_eq!(read_is_contained(&[]), Err(NetError::Disconnected));
+            for cut in 1..frame.len() {
+                prop_assert!(matches!(
+                    read_is_contained(&frame[..cut]),
+                    Err(NetError::Protocol(m)) if m.contains("mid-frame")
+                ));
+            }
+        }
+
+        /// A single flipped bit is refused, except in the kind byte's low
+        /// bit, which turns a request into a response (the payload is
+        /// untouched either way).
+        #[test]
+        fn single_bit_flips_are_refused(
+            kind in any_kind(),
+            payload in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let frame = frame_of(kind, &payload);
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match read_is_contained(&bad) {
+                    Err(_) => {}
+                    Ok((flipped, read)) => {
+                        prop_assert_eq!(bit, 5 * 8, "only the kind bit may flip unseen");
+                        prop_assert_ne!(flipped, kind);
+                        prop_assert_eq!(read, payload.clone());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

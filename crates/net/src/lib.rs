@@ -11,8 +11,12 @@
 //!   protocol** whose payloads use the canonical binary codec from
 //!   [`orchestra_persist::codec`] (the WAL, snapshots and the wire share
 //!   one format). Messages cover the full CDSS lifecycle: `PublishEdits`,
-//!   `UpdateExchange`, `QueryLocal` / `QueryCertain`, `ProvenanceOf`,
-//!   trust-policy get/set, `Stats`, `Checkpoint`, `Shutdown`.
+//!   `UpdateExchange`, `QueryLocal` / `QueryCertain` and their bound
+//!   point-query forms, `ProvenanceOf` and the provenance cursor,
+//!   trust-policy get/set, `AddMapping`, `Stats`, `Metrics`, `Compact`,
+//!   `Checkpoint`, `Shutdown`. There is one vocabulary, frame version 6;
+//!   a frame of any other version, or a retired tag, is answered with one
+//!   `BadRequest` and the connection is closed.
 //! * [`server`] — a **threaded server** (the `orchestrad` binary):
 //!   thread-per-connection over `std::net::TcpListener`, one shared
 //!   [`orchestra_core::Cdss`] behind an `RwLock`, **snapshot-isolated

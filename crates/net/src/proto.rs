@@ -7,9 +7,9 @@
 //!
 //! | Tag | Request | Response |
 //! |----:|---------|----------|
-//! | 0 | `PublishEdits` (legacy, plain tuples) | `EditsQueued` |
+//! | 0 | *(retired)* | `EditsQueued` |
 //! | 1 | `UpdateExchange` | `ExchangeDone` |
-//! | 2 | `QueryLocal` | `Tuples` (legacy, plain tuples) |
+//! | 2 | `QueryLocal` | *(retired)* |
 //! | 3 | `QueryCertain` | `Provenance` |
 //! | 4 | `ProvenanceOf` | `Policy` |
 //! | 5 | `GetTrustPolicy` | `Stats` |
@@ -23,48 +23,21 @@
 //! | 13 | `QueryLocalWhere` | |
 //! | 14 | `QueryCertainWhere` | |
 //! | 15 | `ProvenancePage` | |
+//! | 16 | `AddMapping` | |
 //!
 //! Bulk payloads (`PublishEdits` batches, `Tuples` answers) are emitted in
 //! the **pooled** encoding of [`orchestra_persist::pooled`] — one value
 //! dictionary, then rows as dense ids — under the tags marked "pooled".
 //!
-//! ## Version negotiation
-//!
-//! Back-compat is both read- and write-side. Decoders accept the legacy
-//! plain-tuple tags (and the frame layer accepts every version since 1),
-//! so a new endpoint reads anything an old one sends or persisted. On the
-//! write side the responder **echoes the requester's frame version**,
-//! encoding the payload in that version's vocabulary:
-//!
-//! * **v1** — plain-tuple bulk payloads (`Tuples` tag 2, `PublishEdits`
-//!   tag 0) and the original seven-counter `Stats` layout;
-//! * **v2** — pooled bulk payloads, `Stats` with the intern/plan-cache
-//!   counters (ten);
-//! * **v3** — v2 plus the pool-compaction counters in `Stats` (thirteen);
-//! * **v4** — v3 plus the snapshot-subsystem counters in `Stats`
-//!   (`snapshot_epoch`, `snapshots_published`, `snapshot_reads`);
-//! * **v5** — v4 plus the `Metrics` request (tag 12) and its
-//!   text-exposition response (tag 10). The `Stats` field layout is
-//!   unchanged from v4; a server refuses `Metrics` on frames older
-//!   than v5;
-//! * **v6** (current) — v5 plus the bound point queries
-//!   (`QueryLocalWhere` tag 13, `QueryCertainWhere` tag 14) and the
-//!   paginated provenance cursor (`ProvenancePage` tag 15,
-//!   `ProvenancePageResult` tag 11). No existing layout changed; a
-//!   server refuses the new requests on frames older than v6.
-//!
-//! The `Stats` field layout is what forces a version bump: it is a bare
-//! field list under one tag, so growing it in place would break every
-//! already-deployed client of the previous version. A current client
-//! defaults to v5 but can be pinned lower (`NetClient::set_wire_version`)
-//! to stand in for an old binary; either way it decodes each response by
-//! the version the *response frame* carries, so mixed-version live
-//! deployments interoperate in both directions.
+//! This is the one vocabulary of frame version 6, the only version the
+//! frame layer accepts. Retired tags (the plain-tuple `PublishEdits` and
+//! `Tuples` layouts of earlier versions) decode as unknown tags; they are
+//! never reassigned, and no live tag was renumbered when they retired.
 
 use std::fmt;
 
 use orchestra_core::{PageDirection, ProvenanceNeighbor, TrustPolicy};
-use orchestra_persist::codec::{decode_seq, encode_seq, Decode, Encode, Reader, Writer};
+use orchestra_persist::codec::{Decode, Encode, Reader, Writer};
 use orchestra_persist::pooled::{
     decode_tuple_seq_pooled, encode_tuple_seq_pooled, PooledDecoder, PooledEncoder,
 };
@@ -112,43 +85,6 @@ impl EditBatch {
             .chain(self.deletes.iter())
             .map(|(_, ts)| ts.len())
             .sum()
-    }
-}
-
-fn encode_rel_tuples(groups: &[(String, Vec<Tuple>)], w: &mut Writer) {
-    w.put_u32(groups.len() as u32);
-    for (relation, tuples) in groups {
-        w.put_str(relation);
-        encode_seq(tuples, w);
-    }
-}
-
-fn decode_rel_tuples(r: &mut Reader<'_>) -> orchestra_persist::Result<Vec<(String, Vec<Tuple>)>> {
-    let n = r.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let relation = r.get_str()?.to_string();
-        out.push((relation, decode_seq(r)?));
-    }
-    Ok(out)
-}
-
-/// Legacy (v1) plain-tuple batch layout.
-impl Encode for EditBatch {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.peer);
-        encode_rel_tuples(&self.inserts, w);
-        encode_rel_tuples(&self.deletes, w);
-    }
-}
-
-impl Decode for EditBatch {
-    fn decode(r: &mut Reader<'_>) -> orchestra_persist::Result<Self> {
-        Ok(EditBatch {
-            peer: r.get_str()?.to_string(),
-            inserts: decode_rel_tuples(r)?,
-            deletes: decode_rel_tuples(r)?,
-        })
     }
 }
 
@@ -249,13 +185,12 @@ pub enum Request {
     Compact,
     /// The server's metrics registry in Prometheus-style text exposition
     /// (latency histograms, per-request counters, engine counters).
-    /// Requires frame version 5; returns [`Response::Metrics`].
+    /// Returns [`Response::Metrics`].
     Metrics,
     /// Point query over the local instance: tuples of a peer's relation
     /// whose columns equal the `Some` entries of `binding`, sorted. Only
     /// matching tuples cross the wire — the full instance is never
-    /// materialised. Requires frame version 6; returns
-    /// [`Response::Tuples`].
+    /// materialised. Returns [`Response::Tuples`].
     QueryLocalWhere {
         /// The peer.
         peer: String,
@@ -266,8 +201,7 @@ pub enum Request {
         binding: Vec<Option<Value>>,
     },
     /// [`Request::QueryLocalWhere`] restricted to certain answers (tuples
-    /// containing labeled nulls are dropped). Requires frame version 6;
-    /// returns [`Response::Tuples`].
+    /// containing labeled nulls are dropped). Returns [`Response::Tuples`].
     QueryCertainWhere {
         /// The peer.
         peer: String,
@@ -277,8 +211,8 @@ pub enum Request {
         binding: Vec<Option<Value>>,
     },
     /// One page of a tuple's one-hop provenance neighbors (the mappings
-    /// linking it to the tuples it derives from or feeds). Requires frame
-    /// version 6; returns [`Response::ProvenancePageResult`].
+    /// linking it to the tuples it derives from or feeds). Returns
+    /// [`Response::ProvenancePageResult`].
     ProvenancePage {
         /// The logical relation.
         relation: String,
@@ -299,7 +233,7 @@ pub enum Request {
     /// the analyzer rejects (a value-inventing Skolem cycle, an unsafe or
     /// unstratifiable rule set) is refused with `BadRequest` carrying the
     /// rendered diagnostics, and the server keeps its previous mappings.
-    /// Requires frame version 6; returns [`Response::Ok`].
+    /// Returns [`Response::Ok`].
     AddMapping {
         /// The mapping's name (must be unused).
         name: String,
@@ -386,22 +320,13 @@ fn decode_opt_str(r: &mut Reader<'_>) -> orchestra_persist::Result<Option<String
 }
 
 impl Request {
-    /// Encode for a given frame version. Version 1 emits the legacy
-    /// plain-tuple `PublishEdits` layout (tag 0) a v1-era server decodes;
-    /// version 2 is [`Encode::to_bytes`] (pooled tag 10).
+    /// The payload a frame of `version` carries: the current encoding,
+    /// [`Encode::to_bytes`]. `version` must be [`crate::frame::VERSION`],
+    /// the only version there is; it is taken so byte counters can name
+    /// the version they measure.
     pub fn to_bytes_versioned(&self, version: u8) -> Vec<u8> {
-        if version >= 2 {
-            return self.to_bytes();
-        }
-        match self {
-            Request::PublishEdits(batch) => {
-                let mut w = Writer::new();
-                w.put_u8(0);
-                batch.encode(&mut w);
-                w.into_bytes()
-            }
-            other => other.to_bytes(),
-        }
+        assert_eq!(version, crate::frame::VERSION, "no other wire version");
+        self.to_bytes()
     }
 
     /// Short label used for per-request metrics.
@@ -607,7 +532,6 @@ impl Decode for Request {
     fn decode(r: &mut Reader<'_>) -> orchestra_persist::Result<Self> {
         let offset = r.offset();
         Ok(match r.get_u8()? {
-            0 => Request::PublishEdits(EditBatch::decode(r)?),
             10 => Request::PublishEdits(EditBatch::decode_pooled(r)?),
             1 => Request::UpdateExchange {
                 peer: match r.get_u8()? {
@@ -832,35 +756,6 @@ impl ServerStats {
         }
     }
 
-    /// The legacy (frame version 1) field layout, predating the intern,
-    /// plan-cache and pool counters — what a v1-era client decodes.
-    fn encode_v1(&self, w: &mut Writer) {
-        w.put_u64(self.peers);
-        w.put_u64(self.relations);
-        w.put_u64(self.total_tuples);
-        w.put_u64(self.output_tuples);
-        w.put_u64(self.pending_batches);
-        w.put_u64(self.epoch);
-        w.put_u64(self.connections);
-        self.encode_requests(w);
-    }
-
-    /// The frame-version-2 field layout: v1 plus the intern and plan-cache
-    /// counters, without the pool-compaction counters v3 added.
-    fn encode_v2(&self, w: &mut Writer) {
-        w.put_u64(self.peers);
-        w.put_u64(self.relations);
-        w.put_u64(self.total_tuples);
-        w.put_u64(self.output_tuples);
-        w.put_u64(self.pending_batches);
-        w.put_u64(self.epoch);
-        w.put_u64(self.connections);
-        w.put_u64(self.intern_hits);
-        w.put_u64(self.intern_misses);
-        w.put_u64(self.plan_cache_hits);
-        self.encode_requests(w);
-    }
-
     fn decode_requests(r: &mut Reader<'_>) -> orchestra_persist::Result<Vec<(String, u64)>> {
         let n = r.get_u32()? as usize;
         let mut requests = Vec::with_capacity(n.min(1 << 8));
@@ -869,80 +764,6 @@ impl ServerStats {
             requests.push((kind, r.get_u64()?));
         }
         Ok(requests)
-    }
-
-    /// Decode the legacy v1 layout; the counters later versions added read
-    /// as zero.
-    fn decode_v1(r: &mut Reader<'_>) -> orchestra_persist::Result<Self> {
-        Ok(ServerStats {
-            peers: r.get_u64()?,
-            relations: r.get_u64()?,
-            total_tuples: r.get_u64()?,
-            output_tuples: r.get_u64()?,
-            pending_batches: r.get_u64()?,
-            epoch: r.get_u64()?,
-            connections: r.get_u64()?,
-            requests: Self::decode_requests(r)?,
-            ..ServerStats::default()
-        })
-    }
-
-    /// Decode the v2 layout; the pool counters v3 added read as zero.
-    fn decode_v2(r: &mut Reader<'_>) -> orchestra_persist::Result<Self> {
-        Ok(ServerStats {
-            peers: r.get_u64()?,
-            relations: r.get_u64()?,
-            total_tuples: r.get_u64()?,
-            output_tuples: r.get_u64()?,
-            pending_batches: r.get_u64()?,
-            epoch: r.get_u64()?,
-            connections: r.get_u64()?,
-            intern_hits: r.get_u64()?,
-            intern_misses: r.get_u64()?,
-            plan_cache_hits: r.get_u64()?,
-            requests: Self::decode_requests(r)?,
-            ..ServerStats::default()
-        })
-    }
-
-    /// The frame-version-3 field layout: v2 plus the pool-compaction
-    /// counters, without the snapshot counters v4 added.
-    fn encode_v3(&self, w: &mut Writer) {
-        w.put_u64(self.peers);
-        w.put_u64(self.relations);
-        w.put_u64(self.total_tuples);
-        w.put_u64(self.output_tuples);
-        w.put_u64(self.pending_batches);
-        w.put_u64(self.epoch);
-        w.put_u64(self.connections);
-        w.put_u64(self.intern_hits);
-        w.put_u64(self.intern_misses);
-        w.put_u64(self.plan_cache_hits);
-        w.put_u64(self.pool_values);
-        w.put_u64(self.pool_live_values);
-        w.put_u64(self.pool_compactions);
-        self.encode_requests(w);
-    }
-
-    /// Decode the v3 layout; the snapshot counters v4 added read as zero.
-    fn decode_v3(r: &mut Reader<'_>) -> orchestra_persist::Result<Self> {
-        Ok(ServerStats {
-            peers: r.get_u64()?,
-            relations: r.get_u64()?,
-            total_tuples: r.get_u64()?,
-            output_tuples: r.get_u64()?,
-            pending_batches: r.get_u64()?,
-            epoch: r.get_u64()?,
-            connections: r.get_u64()?,
-            intern_hits: r.get_u64()?,
-            intern_misses: r.get_u64()?,
-            plan_cache_hits: r.get_u64()?,
-            pool_values: r.get_u64()?,
-            pool_live_values: r.get_u64()?,
-            pool_compactions: r.get_u64()?,
-            requests: Self::decode_requests(r)?,
-            ..ServerStats::default()
-        })
     }
 }
 
@@ -1032,10 +853,10 @@ pub enum Response {
         after: u64,
     },
     /// The server's metrics registry rendered as Prometheus-style text
-    /// exposition (answer to [`Request::Metrics`], frame version 5+).
+    /// exposition (answer to [`Request::Metrics`]).
     Metrics(String),
     /// One page of provenance neighbors (answer to
-    /// [`Request::ProvenancePage`], frame version 6+). Items stream in a
+    /// [`Request::ProvenancePage`]). Items stream in a
     /// stable sorted order, so pages never overlap or skip as long as the
     /// token stays valid.
     ProvenancePageResult {
@@ -1057,84 +878,22 @@ pub enum Response {
 
 /// Encode a `Response::Tuples` payload directly from borrowed tuples, so
 /// the server can serialize a query answer under its read lock without
-/// cloning the relation. `len` must equal the iterator's length. Frame
-/// version 2 uses the pooled layout (tag 8); version 1 falls back to the
-/// legacy plain-tuple layout (tag 2) an old client decodes.
-pub fn encode_tuples_response<'a>(
-    len: usize,
-    tuples: impl Iterator<Item = &'a Tuple>,
-    version: u8,
-) -> Vec<u8> {
+/// cloning the relation. `len` must equal the iterator's length.
+pub fn encode_tuples_response<'a>(len: usize, tuples: impl Iterator<Item = &'a Tuple>) -> Vec<u8> {
     let mut w = Writer::new();
-    if version >= 2 {
-        w.put_u8(8);
-        encode_tuple_seq_pooled(len, tuples, &mut w);
-    } else {
-        w.put_u8(2);
-        orchestra_persist::codec::encode_seq_iter(len, tuples, &mut w);
-    }
+    w.put_u8(8);
+    encode_tuple_seq_pooled(len, tuples, &mut w);
     w.into_bytes()
 }
 
 impl Response {
-    /// Encode for a given frame version (see the module docs): version 1
-    /// emits only the legacy vocabulary (`Tuples` under the plain tag 2,
-    /// `Stats` in the v1 field layout), versions 2 and 3 keep the pooled
-    /// tags but their respective shorter `Stats` layouts, and versions 4
-    /// and up are [`Encode::to_bytes`] (v5 and v6 changed no existing
-    /// layout; they only added message pairs).
+    /// The payload a frame of `version` carries: the current encoding,
+    /// [`Encode::to_bytes`]. `version` must be [`crate::frame::VERSION`],
+    /// the only version there is; it is taken so byte counters can name
+    /// the version they measure.
     pub fn to_bytes_versioned(&self, version: u8) -> Vec<u8> {
-        if version >= 4 {
-            return self.to_bytes();
-        }
-        match self {
-            Response::Tuples(tuples) if version == 1 => {
-                let mut w = Writer::new();
-                w.put_u8(2);
-                encode_seq(tuples, &mut w);
-                w.into_bytes()
-            }
-            Response::Stats(stats) => {
-                let mut w = Writer::new();
-                w.put_u8(5);
-                match version {
-                    1 => stats.encode_v1(&mut w),
-                    2 => stats.encode_v2(&mut w),
-                    _ => stats.encode_v3(&mut w),
-                }
-                w.into_bytes()
-            }
-            other => other.to_bytes(),
-        }
-    }
-
-    /// Decode a response payload carried by a frame of the given version.
-    /// The `Stats` field layout is version-dependent (same tag, more
-    /// counters per version), so the frame version selects the decoder;
-    /// every other variant is decoded by its tag alone.
-    pub fn from_bytes_versioned(bytes: &[u8], version: u8) -> orchestra_persist::Result<Self> {
-        if version >= 4 {
-            return Self::from_bytes(bytes);
-        }
-        let mut r = Reader::new(bytes);
-        let resp = match r.get_u8()? {
-            5 if version == 1 => Response::Stats(ServerStats::decode_v1(&mut r)?),
-            5 if version == 2 => Response::Stats(ServerStats::decode_v2(&mut r)?),
-            5 => Response::Stats(ServerStats::decode_v3(&mut r)?),
-            _ => {
-                // Every other variant shares its layout with the current
-                // version; re-decode from the start so the tag is consumed
-                // uniformly.
-                return Self::from_bytes(bytes);
-            }
-        };
-        if !r.is_at_end() {
-            return Err(PersistError::corrupt(
-                r.offset(),
-                format!("{} trailing bytes after v{version} response", r.remaining()),
-            ));
-        }
-        Ok(resp)
+        assert_eq!(version, crate::frame::VERSION, "no other wire version");
+        self.to_bytes()
     }
 }
 
@@ -1211,7 +970,6 @@ impl Decode for Response {
                 ops: r.get_u64()?,
             },
             1 => Response::ExchangeDone(ExchangeSummary::decode(r)?),
-            2 => Response::Tuples(decode_seq(r)?),
             8 => Response::Tuples(decode_tuple_seq_pooled(r)?),
             3 => Response::Provenance {
                 expression: r.get_str()?.to_string(),
@@ -1266,6 +1024,7 @@ mod tests {
     use super::*;
     use orchestra_core::{CmpOp, Predicate};
     use orchestra_storage::tuple::int_tuple;
+    use proptest::prelude::*;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) {
         let back = T::from_bytes(&v.to_bytes()).expect("decodes");
@@ -1414,107 +1173,298 @@ mod tests {
     #[test]
     fn borrowed_tuple_encoding_matches_owned() {
         let tuples = vec![int_tuple(&[1, 2]), int_tuple(&[3, 4])];
-        for version in [1u8, 2, 3, 4, 5] {
-            let borrowed = encode_tuples_response(tuples.len(), tuples.iter(), version);
-            let owned = Response::Tuples(tuples.clone()).to_bytes_versioned(version);
-            assert_eq!(borrowed, owned, "version {version}");
-            // Both layouts decode back to the same answer.
-            let back = Response::from_bytes_versioned(&borrowed, version).unwrap();
-            assert_eq!(back, Response::Tuples(tuples.clone()));
+        let borrowed = encode_tuples_response(tuples.len(), tuples.iter());
+        let owned = Response::Tuples(tuples.clone());
+        assert_eq!(borrowed, owned.to_bytes());
+        assert_eq!(borrowed, owned.to_bytes_versioned(crate::frame::VERSION));
+        assert_eq!(Response::from_bytes(&borrowed).unwrap(), owned);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One value of every request variant with its v6 bytes in hex.
+    fn pinned_requests() -> Vec<(Request, &'static str)> {
+        vec![
+            (
+                Request::PublishEdits(
+                    EditBatch::for_peer("PGUS")
+                        .insert("G", vec![int_tuple(&[3, 5, 2]), int_tuple(&[1, 2, 3])])
+                        .delete("G", vec![int_tuple(&[9, 9, 9])]),
+                ),
+                "0a0400000050475553050000000003000000000000000005000000000000000002000000000000000001000000000000000009000000000000000100000001000000470200000003000000000000000100000002000000030000000300000002000000000000000100000001000000470100000003000000040000000400000004000000",
+            ),
+            (Request::UpdateExchange { peer: None }, "0100"),
+            (
+                Request::UpdateExchange {
+                    peer: Some("PGUS".into()),
+                },
+                "01010400000050475553",
+            ),
+            (
+                Request::QueryLocal {
+                    peer: "PBioSQL".into(),
+                    relation: "B".into(),
+                },
+                "02070000005042696f53514c0100000042",
+            ),
+            (
+                Request::QueryCertain {
+                    peer: "PuBio".into(),
+                    relation: "U".into(),
+                },
+                "0305000000507542696f0100000055",
+            ),
+            (
+                Request::ProvenanceOf {
+                    relation: "B".into(),
+                    tuple: int_tuple(&[3, 2]),
+                },
+                "04010000004202000000000300000000000000000200000000000000",
+            ),
+            (
+                Request::GetTrustPolicy {
+                    peer: "PBioSQL".into(),
+                },
+                "05070000005042696f53514c",
+            ),
+            (
+                Request::SetTrustPolicy {
+                    peer: "PBioSQL".into(),
+                    policy: TrustPolicy::trust_all()
+                        .distrusting("m2")
+                        .with_condition("m1", Predicate::cmp(1, CmpOp::Lt, 3i64)),
+                },
+                "06070000005042696f53514c01000000020000006d3201000000020000006d3102010000000000000002000300000000000000",
+            ),
+            (Request::Stats, "07"),
+            (Request::Checkpoint, "08"),
+            (Request::Shutdown, "09"),
+            (Request::Compact, "0b"),
+            (Request::Metrics, "0c"),
+            (
+                Request::QueryLocalWhere {
+                    peer: "PGUS".into(),
+                    relation: "G".into(),
+                    binding: vec![Some(Value::Int(3)), None, Some(Value::text("x"))],
+                },
+                "0d0400000050475553010000004703000000010003000000000000000001010100000078",
+            ),
+            (
+                Request::QueryCertainWhere {
+                    peer: "PGUS".into(),
+                    relation: "G".into(),
+                    binding: vec![None, Some(Value::Int(-7)), None],
+                },
+                "0e0400000050475553010000004703000000000100f9ffffffffffffff00",
+            ),
+            (
+                Request::ProvenancePage {
+                    relation: "B".into(),
+                    tuple: int_tuple(&[3, 2]),
+                    direction: PageDirection::Targets,
+                    token: Some("e5:2".into()),
+                    limit: 16,
+                },
+                "0f01000000420200000000030000000000000000020000000000000001010400000065353a3210000000",
+            ),
+            (
+                Request::AddMapping {
+                    name: "m5".into(),
+                    text: "U(n, c) -> B(i, n)".into(),
+                },
+                "10020000006d351200000055286e2c206329202d3e204228692c206e29",
+            ),
+        ]
+    }
+
+    /// One value of every response variant with its v6 bytes in hex.
+    fn pinned_responses() -> Vec<(Response, &'static str)> {
+        vec![
+            (Response::EditsQueued { seq: 7, ops: 12 }, "0007000000000000000c00000000000000"),
+            (
+                Response::ExchangeDone(ExchangeSummary {
+                    batches_applied: 3,
+                    peers_exchanged: 2,
+                    inserted: 40,
+                    deleted: 5,
+                    epoch: 9,
+                }),
+                "0103000000000000000200000000000000280000000000000005000000000000000900000000000000",
+            ),
+            (
+                Response::Tuples(vec![int_tuple(&[1, 3]), int_tuple(&[3, 3])]),
+                "080200000000010000000000000000030000000000000002000000020000000000000001000000020000000100000001000000",
+            ),
+            (
+                Response::Provenance {
+                    expression: "m1(G_l(3, 5, 2))".into(),
+                    derivations: 2,
+                    derivable: true,
+                },
+                "03100000006d3128475f6c28332c20352c20322929020000000000000001",
+            ),
+            (
+                Response::Policy(TrustPolicy::trust_all().distrusting("m3")),
+                "0401000000020000006d3300000000",
+            ),
+            (
+                Response::Stats(ServerStats {
+                    peers: 3,
+                    relations: 4,
+                    total_tuples: 100,
+                    output_tuples: 40,
+                    pending_batches: 2,
+                    epoch: 5,
+                    connections: 11,
+                    intern_hits: 1000,
+                    intern_misses: 40,
+                    plan_cache_hits: 17,
+                    pool_values: 45,
+                    pool_live_values: 30,
+                    pool_compactions: 2,
+                    snapshot_epoch: 12,
+                    snapshots_published: 14,
+                    snapshot_reads: 600,
+                    requests: vec![("publish-edits".into(), 9), ("stats".into(), 1)],
+                }),
+                "050300000000000000040000000000000064000000000000002800000000000000020000000000000005000000000000000b00000000000000e803000000000000280000000000000011000000000000002d000000000000001e0000000000000002000000000000000c000000000000000e000000000000005802000000000000020000000d0000007075626c6973682d656469747309000000000000000500000073746174730100000000000000",
+            ),
+            (Response::Ok, "06"),
+            (
+                Response::Compacted {
+                    before: 90,
+                    after: 12,
+                },
+                "095a000000000000000c00000000000000",
+            ),
+            (Response::Metrics("requests_total 3\n".into()), "0a1100000072657175657374735f746f74616c20330a"),
+            (
+                Response::ProvenancePageResult {
+                    total: 5,
+                    items: vec![ProvenanceNeighbor {
+                        mapping: "m1".into(),
+                        relation: "G".into(),
+                        tuple: int_tuple(&[3, 5, 2]),
+                    }],
+                    next: Some("e7:2".into()),
+                },
+                "0b050000000000000001000000020000006d31010000004703000000000300000000000000000500000000000000000200000000000000010400000065373a32",
+            ),
+            (
+                Response::Error {
+                    code: ErrorCode::BadRequest,
+                    message: "bad".into(),
+                },
+                "070203000000626164",
+            ),
+        ]
+    }
+
+    /// The exact v6 bytes of one value of every request and response
+    /// variant. A layout change, a renumbered tag or a reused retired tag
+    /// shows here even when encoder and decoder change together (which a
+    /// round-trip test cannot see), and it would move
+    /// `net.req_bytes_per_op` / `net.resp_bytes_per_op`.
+    #[test]
+    fn v6_bytes_are_pinned() {
+        let requests = pinned_requests();
+        let responses = pinned_responses();
+        let mut drift = Vec::new();
+        for (request, expected) in &requests {
+            let actual = hex(&request.to_bytes());
+            if actual != *expected {
+                drift.push(format!("{:?}: {actual}", request.kind()));
+            }
         }
-        // The two versions genuinely differ on the wire (pooled vs plain).
-        assert_ne!(
-            encode_tuples_response(tuples.len(), tuples.iter(), 1),
-            encode_tuples_response(tuples.len(), tuples.iter(), 2)
-        );
+        for (i, (response, expected)) in responses.iter().enumerate() {
+            let actual = hex(&response.to_bytes());
+            if actual != *expected {
+                drift.push(format!("response #{i}: {actual}"));
+            }
+        }
+        assert!(drift.is_empty(), "v6 bytes moved:\n{}", drift.join("\n"));
     }
 
     #[test]
-    fn v1_payloads_use_only_the_legacy_vocabulary() {
-        // PublishEdits: v1 emits the plain-tuple tag 0.
-        let req = Request::PublishEdits(
-            EditBatch::for_peer("PGUS").insert("G", vec![int_tuple(&[1, 2, 3])]),
-        );
-        let v1 = req.to_bytes_versioned(1);
-        assert_eq!(v1[0], 0, "legacy tag");
-        assert_eq!(
-            Request::from_bytes(&v1).unwrap(),
-            req,
-            "new server reads it"
-        );
-        assert_eq!(req.to_bytes_versioned(2)[0], 10, "pooled tag at v2");
+    fn every_strict_truncation_is_refused() {
+        for (request, _) in pinned_requests() {
+            let bytes = request.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    Request::from_bytes(&bytes[..cut]).is_err(),
+                    "{:?} cut at {cut}",
+                    request.kind()
+                );
+            }
+        }
+        for (i, (response, _)) in pinned_responses().iter().enumerate() {
+            let bytes = response.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    Response::from_bytes(&bytes[..cut]).is_err(),
+                    "response #{i} cut at {cut}"
+                );
+            }
+        }
+    }
 
-        // Stats: the v1 layout drops the counters v2 added; a round-trip
-        // through it zero-fills them and keeps everything else.
-        let stats = ServerStats {
-            peers: 3,
-            relations: 4,
-            total_tuples: 100,
-            output_tuples: 40,
-            pending_batches: 2,
-            epoch: 5,
-            connections: 11,
-            intern_hits: 9,
-            intern_misses: 8,
-            plan_cache_hits: 7,
-            pool_values: 6,
-            pool_live_values: 5,
-            pool_compactions: 1,
-            snapshot_epoch: 4,
-            snapshots_published: 3,
-            snapshot_reads: 2,
-            requests: vec![("stats".into(), 2)],
-        };
-        let v1 = Response::Stats(stats.clone()).to_bytes_versioned(1);
-        let Response::Stats(back) = Response::from_bytes_versioned(&v1, 1).unwrap() else {
-            panic!("stats expected");
-        };
-        assert_eq!(back.peers, stats.peers);
-        assert_eq!(back.connections, stats.connections);
-        assert_eq!(back.requests, stats.requests);
-        assert_eq!(back.intern_hits, 0, "v1 layout has no intern counters");
-        assert_eq!(back.pool_values, 0, "v1 layout has no pool counters");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
-        // The v2 layout keeps the intern/plan counters but not the pool
-        // counters — exactly what a frame-v2 (pre-compaction) binary
-        // encodes and decodes.
-        let v2 = Response::Stats(stats.clone()).to_bytes_versioned(2);
-        let Response::Stats(back) = Response::from_bytes_versioned(&v2, 2).unwrap() else {
-            panic!("stats expected");
-        };
-        assert_eq!(back.intern_hits, stats.intern_hits);
-        assert_eq!(back.plan_cache_hits, stats.plan_cache_hits);
-        assert_eq!(back.pool_values, 0, "v2 layout has no pool counters");
+        /// Arbitrary bytes after any tag (live, retired or unknown) decode
+        /// to a value or an error, never a panic.
+        #[test]
+        fn arbitrary_payloads_never_panic(
+            tag in 0u8..24,
+            body in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let bytes = [&[tag][..], &body].concat();
+            let _ = Request::from_bytes(&bytes);
+            let _ = Response::from_bytes(&bytes);
+        }
 
-        // The v3 layout keeps the pool counters but not the snapshot
-        // counters — exactly what a frame-v3 (pre-snapshot) binary encodes
-        // and decodes.
-        let v3 = Response::Stats(stats.clone()).to_bytes_versioned(3);
-        let Response::Stats(back) = Response::from_bytes_versioned(&v3, 3).unwrap() else {
-            panic!("stats expected");
-        };
-        assert_eq!(back.pool_values, stats.pool_values);
-        assert_eq!(back.pool_compactions, stats.pool_compactions);
-        assert_eq!(back.snapshot_epoch, 0, "v3 layout has no snapshot counters");
-        assert_eq!(back.snapshot_reads, 0, "v3 layout has no snapshot counters");
-        // All four Stats layouts differ on the wire; v5 changed no layout,
-        // so v4 and v5 Stats bytes are identical.
-        let v4 = Response::Stats(stats.clone()).to_bytes_versioned(4);
-        assert!(v1.len() < v2.len() && v2.len() < v3.len() && v3.len() < v4.len());
-        assert_eq!(v4, Response::Stats(stats).to_bytes_versioned(5));
-
-        // Version-independent variants encode identically at every version.
-        let ok = Response::Ok;
-        assert_eq!(ok.to_bytes_versioned(1), ok.to_bytes_versioned(2));
-        assert_eq!(ok.to_bytes_versioned(2), ok.to_bytes_versioned(3));
-        assert_eq!(ok.to_bytes_versioned(3), ok.to_bytes_versioned(4));
-        assert_eq!(ok.to_bytes_versioned(4), ok.to_bytes_versioned(5));
+        /// Random bulk payloads round-trip, and every strict truncation of
+        /// one is refused.
+        #[test]
+        fn truncated_bulk_payloads_are_refused(
+            rows in prop::collection::vec(prop::collection::vec(-4i64..4, 1..4), 0..6),
+        ) {
+            let tuples: Vec<Tuple> = rows.iter().map(|r| int_tuple(r)).collect();
+            let request = Request::PublishEdits(
+                EditBatch::for_peer("p")
+                    .insert("R", tuples.clone())
+                    .delete("S", tuples.clone()),
+            );
+            let bytes = request.to_bytes();
+            prop_assert_eq!(Request::from_bytes(&bytes).unwrap(), request);
+            for cut in 0..bytes.len() {
+                prop_assert!(Request::from_bytes(&bytes[..cut]).is_err());
+            }
+            let response = Response::Tuples(tuples);
+            let bytes = response.to_bytes();
+            prop_assert_eq!(Response::from_bytes(&bytes).unwrap(), response);
+            for cut in 0..bytes.len() {
+                prop_assert!(Response::from_bytes(&bytes[..cut]).is_err());
+            }
+        }
     }
 
     #[test]
     fn unknown_tags_are_rejected() {
         assert!(Request::from_bytes(&[200]).is_err());
         assert!(Response::from_bytes(&[200]).is_err());
+        // The retired plain-tuple tags are unknown too: request tag 0 (a
+        // plain `PublishEdits`) and response tag 2 (plain `Tuples`), each
+        // followed by a well-formed empty body of the old layout.
+        let empty_batch = [
+            0x04, 0, 0, 0, b'P', b'G', b'U', b'S', 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let err = Request::from_bytes(&[&[0u8][..], &empty_batch].concat()).unwrap_err();
+        assert!(err.to_string().contains("unknown request tag 0"), "{err}");
+        let err = Response::from_bytes(&[2, 0, 0, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("unknown response tag 2"), "{err}");
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! collects them all.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -38,7 +39,7 @@ use orchestra_persist::codec::{Decode, Encode};
 use orchestra_storage::{Tuple, Value};
 
 use crate::error::NetError;
-use crate::frame::{read_frame_expecting, write_frame_versioned, FrameKind};
+use crate::frame::{read_frame_expecting, write_frame, FrameKind};
 use crate::proto::{
     encode_tuples_response, EditBatch, ErrorCode, ExchangeSummary, Request, RequestKind, Response,
     ServerStats,
@@ -47,6 +48,10 @@ use crate::Result;
 
 /// How often an idle connection thread wakes up to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Longest a refused connection is kept open after its error reply,
+/// discarding input (see [`refuse`]).
+const REFUSE_DRAIN: Duration = Duration::from_secs(1);
 
 /// Per-server observability: request counters and latency histograms in a
 /// registry of this server's own, so several servers in one process
@@ -395,51 +400,32 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        // The requester's frame version is echoed on the response, with the
-        // payload encoded in that version's vocabulary, so old clients can
-        // talk to a new server (see `proto`'s version-negotiation docs).
-        let (version, payload) = match read_frame_expecting(&mut stream, FrameKind::Request) {
-            Ok(frame) => frame,
+        let payload = match read_frame_expecting(&mut stream, FrameKind::Request) {
+            Ok(payload) => payload,
             Err(NetError::Timeout) => continue,
             Err(NetError::Disconnected) => break,
-            Err(NetError::Protocol(message)) => {
-                // Framing is broken, so the peer's version is unknown;
-                // answer once (best effort) at the oldest version — the
-                // `Error` payload layout is version-independent and every
-                // peer accepts a v1 frame — and hang up.
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message,
-                };
-                let _ = write_frame_versioned(
-                    &mut stream,
-                    FrameKind::Response,
-                    &resp.to_bytes(),
-                    crate::frame::MIN_VERSION,
-                );
-                break;
-            }
+            // Broken framing, a wrong version among other faults.
+            Err(NetError::Protocol(message)) => return refuse(&mut stream, message),
             Err(_) => break,
         };
+        let decoded = {
+            let _span = orchestra_obs::span("decode", "net");
+            Request::from_bytes(&payload)
+        };
+        let request = match decoded {
+            Ok(request) => request,
+            // A retired or unknown tag: the peer speaks another vocabulary.
+            Err(e) => return refuse(&mut stream, format!("undecodable request: {e}")),
+        };
 
-        let (mut response_payload, shutdown_requested) = match Request::from_bytes(&payload) {
-            Ok(request) => {
-                let is_shutdown = request == Request::Shutdown;
-                let kind = request.kind();
-                let _span = orchestra_obs::span(kind.label(), "net");
-                let start = Instant::now();
-                let response = handle_request(&shared, request, version);
-                shared.obs.record(kind, start.elapsed());
-                (response, is_shutdown)
-            }
-            Err(e) => (
-                Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("undecodable request: {e}"),
-                }
-                .to_bytes(),
-                false,
-            ),
+        let shutdown_requested = request == Request::Shutdown;
+        let kind = request.kind();
+        let mut response_payload = {
+            let _span = orchestra_obs::span(kind.label(), "net");
+            let start = Instant::now();
+            let response = handle_request(&shared, request);
+            shared.obs.record(kind, start.elapsed());
+            response
         };
 
         // An answer the framing cannot carry becomes an error response
@@ -453,15 +439,37 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 ),
             );
         }
-        if write_frame_versioned(&mut stream, FrameKind::Response, &response_payload, version)
-            .is_err()
-        {
+        let written = {
+            let _span = orchestra_obs::span("write", "net");
+            write_frame(&mut stream, FrameKind::Response, &response_payload)
+        };
+        if written.is_err() {
             break;
         }
         if shutdown_requested {
             shared.shutdown.store(true, Ordering::SeqCst);
             wake_accept_loop(shared.addr);
             break;
+        }
+    }
+}
+
+/// Answer a request that cannot be served with one `BadRequest` (best
+/// effort) and close the connection so that the peer reads the reply and
+/// then EOF. Closing a socket with unread input resets the connection, and
+/// a reset can destroy the reply before the peer reads it; so half-close,
+/// then discard input until the peer closes, goes quiet for a poll
+/// interval, or [`REFUSE_DRAIN`] passes.
+fn refuse(stream: &mut TcpStream, message: String) {
+    let reply = error_response(ErrorCode::BadRequest, message);
+    let _ = write_frame(stream, FrameKind::Response, &reply);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSE_DRAIN;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline {
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
         }
     }
 }
@@ -489,22 +497,16 @@ fn cdss_error_response(e: &CdssError) -> Vec<u8> {
 }
 
 /// Dispatch one decoded request to the shared state, returning the encoded
-/// response payload. `version` is the requester's frame version; payloads
-/// whose layout differs between versions (`Tuples`, `Stats`) are encoded in
-/// that version's vocabulary.
-fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
+/// response payload.
+fn handle_request(shared: &Shared, request: Request) -> Vec<u8> {
     if shared.shutdown.load(Ordering::SeqCst) && request != Request::Shutdown {
         return error_response(ErrorCode::ShuttingDown, "server is shutting down");
     }
     match request {
         Request::PublishEdits(batch) => handle_publish(shared, batch),
         Request::UpdateExchange { peer } => handle_exchange(shared, peer.as_deref()),
-        Request::QueryLocal { peer, relation } => {
-            handle_query(shared, &peer, &relation, false, version)
-        }
-        Request::QueryCertain { peer, relation } => {
-            handle_query(shared, &peer, &relation, true, version)
-        }
+        Request::QueryLocal { peer, relation } => handle_query(shared, &peer, &relation, false),
+        Request::QueryCertain { peer, relation } => handle_query(shared, &peer, &relation, true),
         Request::ProvenanceOf { relation, tuple } => {
             // Canonical form: remote provenance answers are deterministic
             // regardless of the graph's internal iteration order.
@@ -531,7 +533,7 @@ fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
                 Err(e) => cdss_error_response(&e),
             }
         }
-        Request::Stats => handle_stats(shared, version),
+        Request::Stats => handle_stats(shared),
         Request::Checkpoint => {
             let mut cdss = shared.write_cdss("checkpoint");
             if !cdss.is_persistent() {
@@ -555,28 +557,17 @@ fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
             }
             .to_bytes()
         }
-        Request::Metrics => {
-            if version < 5 {
-                return error_response(
-                    ErrorCode::BadRequest,
-                    format!(
-                        "the Metrics request requires frame version 5 \
-                         (requester is pinned to {version})"
-                    ),
-                );
-            }
-            Response::Metrics(shared.obs.render()).to_bytes()
-        }
+        Request::Metrics => Response::Metrics(shared.obs.render()).to_bytes(),
         Request::QueryLocalWhere {
             peer,
             relation,
             binding,
-        } => handle_query_where(shared, &peer, &relation, &binding, false, version),
+        } => handle_query_where(shared, &peer, &relation, &binding, false),
         Request::QueryCertainWhere {
             peer,
             relation,
             binding,
-        } => handle_query_where(shared, &peer, &relation, &binding, true, version),
+        } => handle_query_where(shared, &peer, &relation, &binding, true),
         Request::ProvenancePage {
             relation,
             tuple,
@@ -590,9 +581,8 @@ fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
             direction,
             token.as_deref(),
             limit,
-            version,
         ),
-        Request::AddMapping { name, text } => handle_add_mapping(shared, &name, &text, version),
+        Request::AddMapping { name, text } => handle_add_mapping(shared, &name, &text),
     }
 }
 
@@ -600,16 +590,7 @@ fn handle_request(shared: &Shared, request: Request, version: u8) -> Vec<u8> {
 /// the static analyzer over the whole program. A rejected program returns
 /// `BadRequest` whose message carries the rendered diagnostics, and the
 /// server keeps serving its previous mappings.
-fn handle_add_mapping(shared: &Shared, name: &str, text: &str, version: u8) -> Vec<u8> {
-    if version < 6 {
-        return error_response(
-            ErrorCode::BadRequest,
-            format!(
-                "the AddMapping request requires frame version 6 \
-                 (requester is pinned to {version})"
-            ),
-        );
-    }
+fn handle_add_mapping(shared: &Shared, name: &str, text: &str) -> Vec<u8> {
     let tgd = match Tgd::parse(name, text) {
         Ok(tgd) => tgd,
         Err(e) => return error_response(ErrorCode::BadRequest, e.to_string()),
@@ -633,17 +614,7 @@ fn handle_query_where(
     relation: &str,
     binding: &[Option<Value>],
     certain: bool,
-    version: u8,
 ) -> Vec<u8> {
-    if version < 6 {
-        return error_response(
-            ErrorCode::BadRequest,
-            format!(
-                "bound point queries require frame version 6 \
-                 (requester is pinned to {version})"
-            ),
-        );
-    }
     let view = shared.snapshot_view();
     let answers = if certain {
         view.query_certain_bound(peer, relation, binding)
@@ -651,7 +622,7 @@ fn handle_query_where(
         view.query_local_bound(peer, relation, binding)
     };
     match answers {
-        Ok(tuples) => encode_tuples_response(tuples.len(), tuples.iter(), version),
+        Ok(tuples) => encode_tuples_response(tuples.len(), tuples.iter()),
         Err(e) => cdss_error_response(&e),
     }
 }
@@ -674,17 +645,7 @@ fn handle_provenance_page(
     direction: PageDirection,
     token: Option<&str>,
     limit: u32,
-    version: u8,
 ) -> Vec<u8> {
-    if version < 6 {
-        return error_response(
-            ErrorCode::BadRequest,
-            format!(
-                "the ProvenancePage request requires frame version 6 \
-                 (requester is pinned to {version})"
-            ),
-        );
-    }
     let limit = (limit as usize).max(1);
     let view = shared.snapshot_view();
     let epoch = view.epoch();
@@ -724,13 +685,7 @@ fn handle_provenance_page(
 /// itself is never copied. The tuples are borrowed from a lock-free
 /// snapshot view (a whole-epoch instance, isolated from any concurrent
 /// exchange).
-fn handle_query(
-    shared: &Shared,
-    peer: &str,
-    relation: &str,
-    certain: bool,
-    version: u8,
-) -> Vec<u8> {
+fn handle_query(shared: &Shared, peer: &str, relation: &str, certain: bool) -> Vec<u8> {
     let view = shared.snapshot_view();
     let collected: std::result::Result<Vec<_>, _> = if certain {
         view.certain_answers_iter(peer, relation)
@@ -742,7 +697,7 @@ fn handle_query(
     match collected {
         Ok(mut tuples) => {
             tuples.sort();
-            encode_tuples_response(tuples.len(), tuples.into_iter(), version)
+            encode_tuples_response(tuples.len(), tuples.into_iter())
         }
         Err(e) => cdss_error_response(&e),
     }
@@ -862,7 +817,7 @@ fn handle_exchange(shared: &Shared, peer: Option<&str>) -> Vec<u8> {
     }
 }
 
-fn handle_stats(shared: &Shared, version: u8) -> Vec<u8> {
+fn handle_stats(shared: &Shared) -> Vec<u8> {
     // The server-side counters come from the obs registry in one place, so
     // the `Stats` frame and the `Metrics` exposition can never disagree.
     let (requests, connections, snapshot_reads) = shared.obs.stats_counters();
@@ -893,7 +848,7 @@ fn handle_stats(shared: &Shared, version: u8) -> Vec<u8> {
         snapshot_reads,
         requests,
     };
-    Response::Stats(stats).to_bytes_versioned(version)
+    Response::Stats(stats).to_bytes()
 }
 
 #[cfg(test)]

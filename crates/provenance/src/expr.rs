@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::semiring::Semiring;
 use crate::token::{MappingId, ProvenanceToken};
 
 /// A provenance expression over tokens, `+`, `·`, and mapping applications.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ProvenanceExpr {
     /// The additive identity: no derivation.
     Zero,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use orchestra_storage::Tuple;
 
 /// The name of a schema mapping, e.g. `"m1"`.
@@ -18,7 +16,7 @@ pub type MappingId = String;
 /// The paper observes (§4.1.2) that under set semantics a tuple is uniquely
 /// identified by its relation and values, so the token simply *is* the pair
 /// (relation, tuple) — no separate surrogate id is needed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProvenanceToken {
     /// The relation (normally a local-contributions table `R_l`) the base
     /// tuple lives in.

@@ -11,12 +11,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::tuple::Tuple;
 
 /// The kind of an edit-log entry: `+` or `−` in the paper's notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EditOpKind {
     /// `+`: the user inserted the tuple locally.
     Insert,
@@ -36,7 +34,7 @@ impl fmt::Display for EditOpKind {
 
 /// A single edit-log entry: an insertion or deletion of a tuple of one
 /// relation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EditOp {
     /// Whether this is an insertion or a deletion.
     pub kind: EditOpKind,
@@ -84,7 +82,7 @@ pub struct NormalizedEdits {
 }
 
 /// An ordered edit log for one relation (`ΔR`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EditLog {
     relation: String,
     ops: Vec<EditOp>,

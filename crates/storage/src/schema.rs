@@ -16,8 +16,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// The name of a relation, e.g. `"B"` or `"B_i"`.
 pub type RelationName = String;
 
@@ -29,7 +27,7 @@ pub type AttributeName = String;
 /// The CDSS semantics is untyped (values carry their own type); the declared
 /// type is used by the workload generator and for documentation, and `Any`
 /// accepts every value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit integers.
     Int,
@@ -50,7 +48,7 @@ impl fmt::Display for DataType {
 }
 
 /// The role a relation plays in the internal schema of a peer (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InternalRole {
     /// A user-visible, logical relation of the peer schema.
     Logical,
@@ -90,7 +88,7 @@ pub fn internal_name(base: &str, role: InternalRole) -> RelationName {
 }
 
 /// The schema of a relation: its name and attribute list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSchema {
     name: RelationName,
     attributes: Arc<[AttributeName]>,

@@ -6,8 +6,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// An immutable tuple (row) of values.
@@ -21,7 +19,7 @@ use crate::value::Value;
 /// [`Tuple::content_hash`]): every hash container keyed by tuples — relation
 /// sets, dedup sets, provenance-graph node tables — then hashes 8 bytes per
 /// operation instead of re-walking the row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tuple {
     values: Arc<[Value]>,
     hash: u64,

@@ -16,8 +16,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// An immutable, reference-counted string whose **content hash is computed
 /// once at construction** and cached.
 ///
@@ -119,7 +117,7 @@ impl fmt::Display for Str {
 /// function per existentially quantified variable per tgd, following §4.1.1
 /// of the paper ("it is essential to use a separate Skolem function for each
 /// existentially quantified variable in each tgd").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SkolemFnId(pub u32);
 
 impl fmt::Display for SkolemFnId {
@@ -133,7 +131,7 @@ impl fmt::Display for SkolemFnId {
 /// Labeled nulls are internal bookkeeping; queries may join on their
 /// equality, but tuples containing labeled nulls are discarded when
 /// producing *certain answers* (paper §2.1).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SkolemValue {
     /// The Skolem function that produced this placeholder.
     pub function: SkolemFnId,
@@ -174,7 +172,7 @@ impl fmt::Display for SkolemValue {
 /// integers (the "integer" dataset, where large SWISS-PROT strings are
 /// replaced by hashes), interned strings (the "string" dataset), and labeled
 /// nulls ([`SkolemValue`]) for incomplete information.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// A 64-bit integer constant.
     Int(i64),

@@ -9,7 +9,7 @@
 //! self-contained runs (CI smoke); otherwise `--addr` names a running
 //! daemon. `--point-queries N` enables the bound point-query phase: after
 //! the exchange, N `QueryCertainWhere` round trips with zipfian-drawn keys
-//! (wire v6 demand path), reported with p50/p95/p99 next to the publish
+//! (the demand path over the wire), reported with p50/p95/p99 next to the publish
 //! and exchange latencies.
 
 use std::process::ExitCode;

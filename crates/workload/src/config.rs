@@ -1,9 +1,7 @@
 //! Configuration knobs for the synthetic workload generator.
 
-use serde::{Deserialize, Serialize};
-
 /// Which dataset variant to generate (paper §6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DatasetKind {
     /// Realistic SWISS-PROT-like strings (large tuples).
     #[default]
@@ -30,7 +28,7 @@ impl std::fmt::Display for DatasetKind {
 }
 
 /// Parameters of one generated CDSS configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of peers.
     pub peers: usize,

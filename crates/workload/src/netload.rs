@@ -38,15 +38,15 @@ pub struct NetLoadConfig {
     pub exchange_at_end: bool,
     /// Scrape the server's metrics exposition after the run and report its
     /// per-request latency histograms next to the client-side percentiles
-    /// (`Metrics` request, wire version 5+; scrape failures against an
-    /// older server leave [`NetLoadReport::server_latencies`] empty).
+    /// (`Metrics` request; a failed scrape leaves
+    /// [`NetLoadReport::server_latencies`] empty).
     pub scrape_metrics: bool,
     /// Bound point queries to issue after the exchange (`--point-queries`
     /// mode; 0 skips the phase). Keys are drawn zipfian (s = 1, hot keys
     /// dominate the way point lookups do in practice) from the distinct
     /// first-column values of the first target relation, and each draw
     /// issues a `QueryCertainWhere` with that value bound — the demand
-    /// path over the wire (v6+). Round trips are summarized as the
+    /// path over the wire. Round trips are summarized as the
     /// `"query-certain-where"` latency entry.
     pub point_queries: usize,
 }

@@ -169,13 +169,6 @@ fn wire_add_mapping_rejects_bad_programs_and_installs_good_ones() {
         "m5 did not propagate over the wire: {b:?}"
     );
 
-    // Old clients refuse locally instead of sending a tag the server
-    // would mis-decode.
-    let mut old =
-        NetClient::connect_with_retry(handle.addr(), 20, Duration::from_millis(50)).unwrap();
-    old.set_wire_version(5).unwrap();
-    assert!(old.add_mapping("m6", "B(i, n) -> U(n, c)").is_err());
-
     client.shutdown().unwrap();
     handle.join();
 }

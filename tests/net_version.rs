@@ -1,114 +1,83 @@
-//! Wire-version negotiation and remote pool-compaction tests: clients
-//! pinned at every shipped frame version (1 through 5, and the current 6)
-//! talk to the same server in one session and observe identical answers —
-//! the responder echoes each requester's frame version and encodes its
-//! payloads in that version's vocabulary.
+//! The one wire vocabulary (frame version 6) against a live server: a
+//! current client drives every request kind, broken framing gets one
+//! `BadRequest` and a hang-up while the server keeps serving, and a remote
+//! compaction bounds a churning server's value pool.
 
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use orchestra_net::frame::{read_frame, read_frame_expecting, write_frame, FrameKind, VERSION};
 use orchestra_net::proto::{ErrorCode, Request, Response};
 use orchestra_net::scenario::example_scenario;
-use orchestra_net::{serve, EditBatch, NetClient, PageDirection};
+use orchestra_net::{serve, EditBatch, NetClient, NetError, PageDirection};
+use orchestra_persist::codec::{Decode, Encode};
 use orchestra_storage::tuple::int_tuple;
 
-fn connect(addr: std::net::SocketAddr, version: u8) -> NetClient {
-    let mut client = NetClient::connect_with_retry(addr, 20, Duration::from_millis(50)).unwrap();
-    client.set_wire_version(version).unwrap();
-    client
+fn connect(addr: SocketAddr) -> NetClient {
+    NetClient::connect_with_retry(addr, 20, Duration::from_millis(50)).unwrap()
 }
 
 #[test]
-fn all_wire_versions_interoperate_on_one_server() {
+fn current_client_speaks_the_whole_vocabulary() {
     let handle = serve(example_scenario(), "127.0.0.1:0").unwrap();
-    let addr = handle.addr();
+    let mut client = connect(handle.addr());
+    let mut other = connect(handle.addr());
 
-    let mut old = connect(addr, 1);
-    let mut mid = connect(addr, 2);
-    let mut v3 = connect(addr, 3);
-    let mut v4 = connect(addr, 4);
-    let mut v5 = connect(addr, 5);
-    let mut new = connect(addr, 6);
-    assert_eq!(old.wire_version(), 1);
-    assert_eq!(new.wire_version(), orchestra_net::frame::VERSION);
-
-    // The legacy client publishes (plain-tuple tag in a v1 frame) and the
-    // current client publishes pooled; one exchange folds both in.
-    old.publish_edits(
-        EditBatch::for_peer("PGUS").insert("G", vec![int_tuple(&[1, 2, 3]), int_tuple(&[3, 5, 2])]),
-    )
-    .unwrap();
-    new.publish_edits(EditBatch::for_peer("PBioSQL").insert("B", vec![int_tuple(&[3, 5])]))
+    // Two clients publish; one exchange folds both batches in.
+    client
+        .publish_edits(
+            EditBatch::for_peer("PGUS")
+                .insert("G", vec![int_tuple(&[1, 2, 3]), int_tuple(&[3, 5, 2])]),
+        )
         .unwrap();
-    let summary = new.update_exchange(None).unwrap();
+    other
+        .publish_edits(EditBatch::for_peer("PBioSQL").insert("B", vec![int_tuple(&[3, 5])]))
+        .unwrap();
+    let summary = client.update_exchange(None).unwrap();
     assert_eq!(summary.batches_applied, 2);
 
-    // All clients read identical instances, through different Tuples
-    // layouts on the wire (plain at v1, pooled at v2 and later).
+    // Every connection reads the same instances.
     for (peer, rel) in [("PGUS", "G"), ("PBioSQL", "B"), ("PuBio", "U")] {
-        let via_old = old.query_local(peer, rel).unwrap();
-        let via_new = new.query_local(peer, rel).unwrap();
-        assert_eq!(via_old, via_new, "{peer}/{rel} differs across versions");
-        assert_eq!(via_old, mid.query_local(peer, rel).unwrap());
-        assert_eq!(via_old, v3.query_local(peer, rel).unwrap());
-        assert_eq!(via_old, v4.query_local(peer, rel).unwrap());
         assert_eq!(
-            old.query_certain(peer, rel).unwrap(),
-            new.query_certain(peer, rel).unwrap()
+            client.query_local(peer, rel).unwrap(),
+            other.query_local(peer, rel).unwrap(),
+            "{peer}/{rel} differs across connections"
+        );
+        assert_eq!(
+            client.query_certain(peer, rel).unwrap(),
+            other.query_certain(peer, rel).unwrap()
         );
     }
-    assert!(!old.query_local("PBioSQL", "B").unwrap().is_empty());
+    let b = client.query_local("PBioSQL", "B").unwrap();
+    assert!(!b.is_empty());
 
-    // Provenance and trust policies are version-independent payloads, but
-    // must still flow through the echoed v1 framing.
-    let b = old.query_local("PBioSQL", "B").unwrap();
-    let prov = old.provenance_of("B", b[0].clone()).unwrap();
-    assert_eq!(prov, new.provenance_of("B", b[0].clone()).unwrap());
+    let prov = client.provenance_of("B", b[0].clone()).unwrap();
+    assert_eq!(prov, other.provenance_of("B", b[0].clone()).unwrap());
+    assert!(prov.derivations >= 1);
     assert_eq!(
-        old.trust_policy("PGUS").unwrap(),
-        new.trust_policy("PGUS").unwrap()
+        client.trust_policy("PGUS").unwrap(),
+        other.trust_policy("PGUS").unwrap()
     );
 
-    // Stats: each version decodes its own field layout — v1 predates the
-    // intern counters, v2 the pool counters, v3 the snapshot counters —
-    // with the shared fields agreeing everywhere.
-    let s_old = old.stats().unwrap();
-    let s_mid = mid.stats().unwrap();
-    let s_v3 = v3.stats().unwrap();
-    let s_v4 = v4.stats().unwrap();
-    let s_new = new.stats().unwrap();
-    assert_eq!(s_old.peers, s_new.peers);
-    assert_eq!(s_old.total_tuples, s_new.total_tuples);
-    assert_eq!(s_mid.total_tuples, s_new.total_tuples);
-    assert_eq!(s_v3.total_tuples, s_new.total_tuples);
-    assert_eq!(s_old.intern_hits, 0, "v1 stats carry no intern counters");
-    assert!(s_mid.intern_misses > 0, "v2 stats carry intern counters");
-    assert_eq!(s_mid.pool_values, 0, "v2 stats carry no pool counters");
-    assert!(s_v3.intern_misses > 0);
-    assert!(s_v3.pool_values > 0, "v3 stats expose the pool size");
-    assert!(s_v3.pool_live_values > 0);
-    assert_eq!(
-        s_v3.snapshots_published, 0,
-        "v3 stats carry no snapshot counters"
-    );
-    assert_eq!(s_v3.snapshot_reads, 0);
-    assert!(s_new.pool_values > 0);
+    // Stats carries the intern, pool and snapshot counters.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.peers, 3);
+    assert!(stats.intern_misses > 0, "stats carry intern counters");
+    assert!(stats.pool_values > 0, "stats expose the pool size");
+    assert!(stats.pool_live_values > 0);
     assert!(
-        s_new.snapshot_epoch >= 1,
-        "v4+ stats expose the served snapshot epoch"
+        stats.snapshot_epoch >= 1,
+        "stats expose the served snapshot epoch"
     );
-    assert!(s_new.snapshots_published >= 1);
+    assert!(stats.snapshots_published >= 1);
     assert!(
-        s_new.snapshot_reads > 0,
+        stats.snapshot_reads > 0,
         "the queries above were answered from snapshots"
     );
-    // The Stats layout did not change between v4 and v5.
-    assert_eq!(s_v4.peers, s_new.peers);
-    assert!(s_v4.snapshot_epoch >= 1);
 
-    // Metrics is v5-only: the current client scrapes the exposition (and
-    // its per-request counters agree with the Stats payload), while pinned
-    // clients refuse locally before confusing an older server.
-    let exposition = new.metrics().unwrap();
+    // The metrics exposition agrees with the Stats payload.
+    let exposition = client.metrics().unwrap();
     for series in [
         "requests_total",
         "request_latency_seconds",
@@ -117,40 +86,25 @@ fn all_wire_versions_interoperate_on_one_server() {
     ] {
         assert!(exposition.contains(series), "missing series `{series}`");
     }
-    let s_after = new.stats().unwrap();
-    let stats_served = s_after
-        .requests
-        .iter()
-        .find(|(kind, _)| kind == "stats")
-        .map(|(_, n)| *n)
-        .unwrap();
     assert!(
-        exposition.contains("requests_total{request=\"stats\"}"),
+        exposition.contains("requests_total{request=\"stats\"} 1"),
         "per-request counters are labelled by kind"
     );
-    assert!(stats_served >= 5, "every pinned client ran stats above");
-    for pinned in [&mut old, &mut mid, &mut v3, &mut v4] {
-        let err = pinned.metrics().unwrap_err();
-        assert!(
-            err.to_string().contains("wire version 5"),
-            "pinned client must refuse Metrics locally: {err}"
-        );
-    }
-    assert!(v5.metrics().is_ok(), "Metrics is v5+");
 
-    // v6 only: bound point queries and the paginated provenance cursor.
-    // The bound query answers exactly match the filtered full query.
+    // The bound point queries answer exactly the filtered full query.
     let mut binding = vec![None; b[0].arity()];
     binding[0] = Some(b[0][0].clone());
-    let hits = new
+    let hits = client
         .query_local_where("PBioSQL", "B", binding.clone())
         .unwrap();
     let expected: Vec<_> = b.iter().filter(|t| t[0] == b[0][0]).cloned().collect();
     assert_eq!(hits, expected, "bound query = filtered full instance");
     assert_eq!(
-        new.query_certain_where("PBioSQL", "B", binding.clone())
+        client
+            .query_certain_where("PBioSQL", "B", binding.clone())
             .unwrap(),
-        new.query_certain("PBioSQL", "B")
+        client
+            .query_certain("PBioSQL", "B")
             .unwrap()
             .into_iter()
             .filter(|t| t[0] == b[0][0])
@@ -159,21 +113,21 @@ fn all_wire_versions_interoperate_on_one_server() {
 
     // The cursor walked one item at a time concatenates to the whole
     // neighbor list, with a stable total on every page.
-    let first = new
+    let first = client
         .provenance_page("B", b[0].clone(), PageDirection::Sources, None, 1)
         .unwrap();
     assert!(first.total >= 1, "a derived B tuple has sources");
     let mut walked = first.items.clone();
     let mut token = first.next.clone();
     while let Some(t) = token {
-        let page = new
+        let page = client
             .provenance_page("B", b[0].clone(), PageDirection::Sources, Some(t), 1)
             .unwrap();
         assert_eq!(page.total, first.total, "total is stable across pages");
         walked.extend(page.items);
         token = page.next;
     }
-    let whole = new
+    let whole = client
         .provenance_page("B", b[0].clone(), PageDirection::Sources, None, u32::MAX)
         .unwrap();
     assert_eq!(walked, whole.items, "cursor pages concatenate losslessly");
@@ -182,7 +136,7 @@ fn all_wire_versions_interoperate_on_one_server() {
 
     // A token from another epoch is refused (never silently mixes two
     // epochs' derivations), as is a malformed one.
-    let stale = new
+    let stale = client
         .provenance_page(
             "B",
             b[0].clone(),
@@ -192,7 +146,7 @@ fn all_wire_versions_interoperate_on_one_server() {
         )
         .unwrap_err();
     assert!(stale.to_string().contains("stale"), "{stale}");
-    let bad = new
+    let bad = client
         .provenance_page(
             "B",
             b[0].clone(),
@@ -203,43 +157,89 @@ fn all_wire_versions_interoperate_on_one_server() {
         .unwrap_err();
     assert!(bad.to_string().contains("malformed"), "{bad}");
 
-    // Every pinned client refuses the v6 requests locally, before an old
-    // server could ever see a tag it cannot decode.
-    for pinned in [&mut old, &mut mid, &mut v3, &mut v4, &mut v5] {
-        for err in [
-            pinned
-                .query_local_where("PBioSQL", "B", binding.clone())
-                .unwrap_err(),
-            pinned
-                .query_certain_where("PBioSQL", "B", binding.clone())
-                .unwrap_err(),
-            pinned
-                .provenance_page("B", b[0].clone(), PageDirection::Sources, None, 4)
-                .unwrap_err(),
-        ] {
-            assert!(
-                err.to_string().contains("wire version 6"),
-                "pinned client must refuse v6 requests locally: {err}"
-            );
-        }
+    handle.stop_and_join();
+}
+
+/// One request frame, encoded at the current version, as raw bytes.
+fn request_frame(request: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FrameKind::Request, &request.to_bytes()).unwrap();
+    frame
+}
+
+/// Send raw bytes on a fresh connection and expect exactly one
+/// `BadRequest` reply followed by EOF.
+fn expect_one_bad_request(addr: SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(bytes).unwrap();
+    let payload = read_frame_expecting(&mut stream, FrameKind::Response).unwrap();
+    let Response::Error {
+        code: ErrorCode::BadRequest,
+        message,
+    } = Response::from_bytes(&payload).unwrap()
+    else {
+        panic!("expected one BadRequest reply");
+    };
+    assert_eq!(read_frame(&mut stream), Err(NetError::Disconnected));
+    message
+}
+
+#[test]
+fn broken_frames_get_one_error_and_the_server_keeps_serving() {
+    let handle = serve(example_scenario(), "127.0.0.1:0").unwrap();
+    let addr = handle.addr();
+    // A client connected before the hostile ones keeps its connection.
+    let mut bystander = connect(addr);
+    let frame = request_frame(&Request::QueryLocal {
+        peer: "PBioSQL".into(),
+        relation: "B".into(),
+    });
+
+    // A frame of any other version gets one error naming it, then EOF.
+    for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+        let mut stale = frame.clone();
+        stale[4] = version;
+        let message = expect_one_bad_request(addr, &stale);
+        assert_eq!(
+            message,
+            format!("unsupported wire version {version} (this build speaks 6)")
+        );
     }
-    // And a server refuses the raw tag on an old frame with a clean
-    // BadRequest rather than a decode error.
-    let resp = v5
-        .call(&Request::QueryLocalWhere {
-            peer: "PBioSQL".into(),
-            relation: "B".into(),
-            binding: binding.clone(),
-        })
+    // A retired payload tag in a well-formed frame is refused the same
+    // way: plain-tuple `PublishEdits` (request tag 0).
+    let mut retired = Vec::new();
+    let empty_batch = [
+        0u8, 4, 0, 0, 0, b'P', b'G', b'U', b'S', 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    write_frame(&mut retired, FrameKind::Request, &empty_batch).unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&retired).unwrap();
+    let payload = read_frame_expecting(&mut stream, FrameKind::Response).unwrap();
+    assert!(matches!(
+        Response::from_bytes(&payload).unwrap(),
+        Response::Error { code: ErrorCode::BadRequest, message }
+            if message.contains("unknown request tag 0")
+    ));
+    drop(stream);
+
+    // Clients vanishing mid-header and mid-payload.
+    for cut in [7, frame.len() - 3] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&frame[..cut]).unwrap();
+        drop(stream);
+    }
+
+    // The server still publishes, exchanges and queries, on a new
+    // connection and on the one that was open throughout.
+    let mut fresh = connect(addr);
+    fresh
+        .publish_edits(EditBatch::for_peer("PGUS").insert("G", vec![int_tuple(&[4, 6, 8])]))
         .unwrap();
-    assert!(
-        matches!(
-            resp,
-            Response::Error { code: ErrorCode::BadRequest, ref message }
-                if message.contains("frame version 6")
-        ),
-        "server gates v6 requests on old frames: {resp:?}"
-    );
+    let summary = fresh.update_exchange(None).unwrap();
+    assert_eq!(summary.batches_applied, 1);
+    let b = fresh.query_local("PBioSQL", "B").unwrap();
+    assert!(b.contains(&int_tuple(&[4, 8])), "{b:?}");
+    assert_eq!(bystander.query_local("PBioSQL", "B").unwrap(), b);
 
     handle.stop_and_join();
 }
