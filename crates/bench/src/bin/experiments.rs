@@ -11,9 +11,8 @@
 
 use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{
-    check_against_baseline, entry_json, merge_entry, run_magic_gate, run_obs_overhead,
-    run_point_read_gate, run_point_read_scaling, run_pool_churn, run_publish_gate,
-    run_publish_scaling, run_snapshot,
+    check_against_baseline, entry_json, merge_entry, run_obs_overhead, run_point_read_gate,
+    run_point_read_scaling, run_pool_churn, run_publish_gate, run_publish_scaling, run_snapshot,
 };
 use orchestra_bench::{
     run_fig10, run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_fig9, run_fig_recovery, Scale,
@@ -118,17 +117,6 @@ fn check_mode(baseline_path: &str, baseline_label: &str, max_ratio: f64, scale: 
         }
     }
 
-    // Demand-query gate: a sparse-key point query answered through the
-    // magic-sets rewrite must decisively beat computing the full closure
-    // and filtering — the whole point of demand-driven evaluation.
-    let magic = run_magic_gate(scale);
-    match magic.verdict() {
-        Ok(line) => println!("demand-query gate: {line}"),
-        Err(e) => {
-            eprintln!("DEMAND QUERY: {e}");
-            return 1;
-        }
-    }
     perf
 }
 

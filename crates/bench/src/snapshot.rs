@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use orchestra_datalog::{bound_scan, parse_program, Evaluator, PlanCache};
+use orchestra_datalog::{parse_program, Evaluator, PlanCache};
 use orchestra_storage::{tuple::int_tuple, Database, RelationSchema, Value};
 use orchestra_workload::DatasetKind;
 
@@ -177,100 +177,6 @@ fn tc_incremental(scale: Scale) -> SnapshotRow {
     )
 }
 
-/// Sparse-key point-query workload: the successors of one chain node near
-/// the end of a transitive-closure database, asked two ways over identical
-/// data. `magic_point/demand` answers through the magic-sets rewrite — the
-/// bound key seeds a magic fact and evaluation explores only that key's
-/// derivation cone. `magic_point/full_fixpoint` computes the entire
-/// closure and filters, the way an unbound engine must. Ops = answers
-/// returned (identical across rows), so `ns_per_op` is directly
-/// comparable; both rows measure the *cold* cost including plan compiles.
-pub fn run_magic_point(scale: Scale) -> Vec<SnapshotRow> {
-    let program = parse_program(
-        "path(x, y) :- edge(x, y).\n\
-         path(x, z) :- path(x, y), edge(y, z).",
-    )
-    .unwrap();
-    let chain = scale.entries(150) as i64;
-    let extra = scale.entries(60);
-    // A key near the end of the chain: its reachable cone is a sliver of
-    // the full closure — exactly the regime demand evaluation targets.
-    let binding = vec![Some(Value::Int(chain - 10)), None];
-    let demand = measure(
-        "magic_point/demand",
-        || tc_database(chain, extra),
-        |db| {
-            let mut cache = PlanCache::new();
-            let mut eval = Evaluator::new();
-            let answers = eval
-                .run_demand_cached(&mut cache, &program, db, "path", &binding)
-                .unwrap();
-            answers.len().max(1)
-        },
-    );
-    let full = measure(
-        "magic_point/full_fixpoint",
-        || tc_database(chain, extra),
-        |db| {
-            let mut eval = Evaluator::new();
-            eval.run(&program, db).unwrap();
-            bound_scan(db, "path", &binding).unwrap().len().max(1)
-        },
-    );
-    vec![demand, full]
-}
-
-/// Measurements behind the demand-query speedup gate: the sparse-key point
-/// query answered via the magic-sets rewrite vs via the full fixpoint.
-#[derive(Debug, Clone)]
-pub struct MagicGate {
-    /// Median nanoseconds for the demand-driven answer.
-    pub demand_ns: u128,
-    /// Median nanoseconds for the full-fixpoint-then-filter answer.
-    pub full_ns: u128,
-}
-
-impl MagicGate {
-    /// Required speedup of the demand path over the full fixpoint on the
-    /// sparse-key workload.
-    pub const MIN_SPEEDUP: f64 = 5.0;
-
-    /// Measured speedup (>1 means demand was faster).
-    pub fn speedup(&self) -> f64 {
-        self.full_ns as f64 / self.demand_ns.max(1) as f64
-    }
-
-    /// Gate verdict: `Ok` with a human-readable line when the demand path
-    /// clears the speedup bound.
-    pub fn verdict(&self) -> Result<String, String> {
-        let s = self.speedup();
-        if s >= Self::MIN_SPEEDUP {
-            Ok(format!(
-                "demand beats the full fixpoint by {s:.1}x on the sparse-key point query ({} ns -> {} ns, limit {:.1}x)",
-                self.full_ns,
-                self.demand_ns,
-                Self::MIN_SPEEDUP
-            ))
-        } else {
-            Err(format!(
-                "demand is only {s:.1}x faster than the full fixpoint on the sparse-key point query ({} ns -> {} ns, need >= {:.1}x)",
-                self.full_ns,
-                self.demand_ns,
-                Self::MIN_SPEEDUP
-            ))
-        }
-    }
-}
-
-/// Run the demand-query speedup gate measurements (see [`MagicGate`]).
-pub fn run_magic_gate(scale: Scale) -> MagicGate {
-    let rows = run_magic_point(scale);
-    MagicGate {
-        demand_ns: rows[0].median_ns,
-        full_ns: rows[1].median_ns,
-    }
-}
-
 /// The pool-churn workload's measured row plus the intern-pool metrics of
 /// its final run — the data behind the `--check` pool-growth gate.
 #[derive(Debug, Clone)]
@@ -420,15 +326,13 @@ fn fig9_deletions(scale: Scale) -> SnapshotRow {
 
 /// Run every snapshot workload at the given scale.
 pub fn run_snapshot(scale: Scale) -> Vec<SnapshotRow> {
-    let mut rows = vec![
+    vec![
         tc_fixpoint(scale),
         tc_incremental(scale),
         fig5_join(scale),
         fig7_insertions(scale),
         fig9_deletions(scale),
-    ];
-    rows.extend(run_magic_point(scale));
-    rows
+    ]
 }
 
 /// Relation sizes (tuples) of the publish-scaling measurement.
@@ -826,39 +730,6 @@ mod tests {
             churn.pool_after,
             churn.bound()
         );
-    }
-
-    #[test]
-    fn magic_gate_verdict_logic() {
-        let fast = MagicGate {
-            demand_ns: 100,
-            full_ns: 1_000,
-        };
-        assert!(fast.speedup() > 9.9);
-        assert!(fast.verdict().is_ok());
-        let flat = MagicGate {
-            demand_ns: 500,
-            full_ns: 1_000,
-        };
-        assert!(flat.verdict().is_err());
-        // Degenerate timer reading never divides by zero.
-        let zero = MagicGate {
-            demand_ns: 0,
-            full_ns: 1_000,
-        };
-        assert!(zero.speedup().is_finite());
-    }
-
-    #[test]
-    fn magic_point_rows_agree_on_answer_count() {
-        let rows = run_magic_point(Scale(0.2));
-        assert_eq!(rows[0].workload, "magic_point/demand");
-        assert_eq!(rows[1].workload, "magic_point/full_fixpoint");
-        assert_eq!(
-            rows[0].ops, rows[1].ops,
-            "demand and full fixpoint must return the same answers"
-        );
-        assert!(rows[0].ops > 1, "the bound key reaches several nodes");
     }
 
     #[test]

@@ -943,7 +943,8 @@ impl GraphCache {
             self.dirty = false;
             self.pending.clear();
             self.pending_tuples = 0;
-        } else {
+        } else if !self.pending.is_empty() {
+            let _span = orchestra_obs::span("graph-fold", "provenance");
             for batch in self.pending.drain(..) {
                 extend_graph_with_insertions(system, db, &mut self.graph, &batch);
             }
@@ -1116,6 +1117,9 @@ pub(crate) fn rebuild_graph(
     db: &impl RelationSource,
     graph: &mut ProvenanceGraph,
 ) {
+    // One span per rebuild, whichever reader triggered it: the writer's
+    // `GraphCache::ensure` or a snapshot's first provenance read.
+    let _span = orchestra_obs::span("graph-rebuild", "provenance");
     *graph = ProvenanceGraph::new();
 
     // Base data: local contributions carry their own provenance tokens.

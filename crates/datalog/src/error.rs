@@ -36,11 +36,6 @@ pub enum DatalogError {
         /// The other observed arity.
         second: usize,
     },
-    /// A demand (magic-sets) rewrite could not be constructed.
-    Magic {
-        /// Human-readable description.
-        message: String,
-    },
     /// Error bubbled up from the storage layer.
     Storage(StorageError),
     /// A parse error with position information.
@@ -76,9 +71,6 @@ impl fmt::Display for DatalogError {
                     f,
                     "relation `{relation}` used with conflicting arities {first} and {second}"
                 )
-            }
-            DatalogError::Magic { message } => {
-                write!(f, "demand rewrite failed: {message}")
             }
             DatalogError::Storage(e) => write!(f, "storage error: {e}"),
             DatalogError::Parse { message, offset } => {

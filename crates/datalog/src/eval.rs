@@ -66,39 +66,6 @@ pub const DELTA_INDEX_MIN: usize = 16;
 /// rejects the tuple: it is neither stored nor used for further derivations.
 pub type DerivationFilter<'a> = dyn Fn(&str, &Tuple) -> bool + 'a;
 
-/// Scan `relation`, keeping tuples whose columns equal the `Some` entries
-/// of `binding`, returned sorted. Runs in id currency: each bound constant
-/// is resolved against the value pool once — a constant the pool has never
-/// seen cannot match any stored row, so the scan short-circuits to an
-/// empty answer without touching the relation.
-pub fn bound_scan(db: &Database, relation: &str, binding: &[Option<Value>]) -> Result<Vec<Tuple>> {
-    let rel = db.relation(relation)?;
-    if binding.len() != rel.schema().arity() {
-        return Err(DatalogError::ArityConflict {
-            relation: relation.to_string(),
-            first: rel.schema().arity(),
-            second: binding.len(),
-        });
-    }
-    let pool = db.pool();
-    let mut bound: Vec<(usize, ValueId)> = Vec::new();
-    for (i, b) in binding.iter().enumerate() {
-        if let Some(v) = b {
-            match pool.lookup(v) {
-                Some(id) => bound.push((i, id)),
-                None => return Ok(Vec::new()),
-            }
-        }
-    }
-    let mut out: Vec<Tuple> = rel
-        .iter_rows()
-        .filter(|(_, row)| bound.iter().all(|(i, id)| row[*i] == *id))
-        .map(|(_, row)| Tuple::new(row.iter().map(|id| pool.value(*id).clone()).collect()))
-        .collect();
-    out.sort();
-    Ok(out)
-}
-
 /// The datalog evaluator. Accumulates [`EvalStats`] across calls.
 ///
 /// Every fixpoint round runs on the caller's thread: one task per rule in
@@ -211,95 +178,6 @@ impl Evaluator {
         self.stats += total;
         total.record_to_registry();
         Ok(total)
-    }
-
-    /// Demand-driven (magic-sets) point query: answers of `predicate`
-    /// matching the per-column constant `binding`, computed by seeding the
-    /// bound constants as magic facts and running the cached demand
-    /// rewrite to fixpoint — only the relevant derivation cone is explored
-    /// (see [`crate::magic`]). The guarantee is differential: the returned
-    /// (sorted) tuples equal the full fixpoint's `predicate` contents
-    /// restricted to the binding, when the fixpoint starts from the same
-    /// base data. Relations defined by rules are recomputed from base
-    /// data; their pre-existing stored contents are not consulted.
-    ///
-    /// The demand fixpoint runs over scratch relations (`p~dmd`, magic
-    /// relations), created on first use and left *empty* in `db` between
-    /// queries; base relations are read in place. The rewrite and its
-    /// compiled plans are cached in `cache` keyed by `(predicate,
-    /// adornment)`, so repeated point queries with the same shape only pay
-    /// for the (small) fixpoint.
-    pub fn run_demand_cached(
-        &mut self,
-        cache: &mut PlanCache,
-        program: &Program,
-        db: &mut Database,
-        predicate: &str,
-        binding: &[Option<Value>],
-    ) -> Result<Vec<Tuple>> {
-        let _span = orchestra_obs::span("demand", "datalog");
-        cache.prepare(program)?;
-        let arities = cache.arities(program)?;
-        match arities.get(predicate) {
-            Some(&arity) if arity != binding.len() => {
-                return Err(DatalogError::ArityConflict {
-                    relation: predicate.to_string(),
-                    first: arity,
-                    second: binding.len(),
-                });
-            }
-            Some(_) => {}
-            None => {
-                // Unknown to the program: an extensional bound scan if the
-                // database has it, otherwise a clean error.
-                if !db.has_relation(predicate) {
-                    return Err(DatalogError::MissingRelation(predicate.to_string()));
-                }
-                return bound_scan(db, predicate, binding);
-            }
-        }
-        if !program.idb_relations().contains(predicate) {
-            // Extensional relation: the binding answers itself.
-            if !db.has_relation(predicate) {
-                return Ok(Vec::new());
-            }
-            return bound_scan(db, predicate, binding);
-        }
-
-        let adornment = crate::magic::Adornment::from_binding(binding);
-        let (entry, entry_hit) = cache.magic_entry(program, predicate, &adornment)?;
-        let crate::plan::MagicEntry { rewrite, plans } = entry;
-        // Create-or-clear the scratch cone. Clearing (rather than
-        // dropping) keeps the scratch relations' index definitions, so
-        // repeated queries of one shape do not re-create them.
-        for (name, arity) in &rewrite.scratch_relations {
-            db.create_relation_if_absent(RelationSchema::anonymous(name.clone(), *arity))
-                .clear();
-        }
-        let mut seeds = 0usize;
-        if let Some(seed) = &rewrite.seed_relation {
-            let key: Vec<Value> = binding.iter().flatten().cloned().collect();
-            db.insert(seed, Tuple::new(key))?;
-            seeds = 1;
-        }
-        let run = self.run_filtered_cached(plans, &rewrite.program, db, None)?;
-        let demand = EvalStats {
-            magic_seed_facts: seeds,
-            demand_rules_fired: run.rule_applications,
-            demand_plan_cache_hits: entry_hit as usize,
-            ..EvalStats::default()
-        };
-        self.stats += demand;
-        demand.record_to_registry();
-        let answers = bound_scan(db, &rewrite.answer_relation, binding)?;
-        // Leave only empty scratch relations behind: the caller's database
-        // is observably unchanged apart from pool interning growth.
-        for (name, _) in &rewrite.scratch_relations {
-            if let Ok(rel) = db.relation_mut(name) {
-                rel.clear();
-            }
-        }
-        Ok(answers)
     }
 
     /// Naive (non-semi-naive) evaluation: repeatedly apply every rule of each

@@ -21,6 +21,10 @@
 //! * incremental *deletion* support computes, for each rule, the derived
 //!   tuples whose instantiations involve deleted tuples — the building block
 //!   of the paper's `PropagateDelete` algorithm (Figure 3) and of DRed.
+//! * one query path: evaluation always materialises the stored relations,
+//!   and point queries filter them (the CDSS layer probes an index on the
+//!   bound columns, or scans once and has that index built); nothing
+//!   re-derives an answer per query.
 //!
 //! The engine operates directly over [`orchestra_storage::Database`]
 //! instances, so the CDSS layer can freely mix datalog-derived relations
@@ -56,7 +60,6 @@ pub mod compile;
 pub mod delta;
 pub mod error;
 pub mod eval;
-pub mod magic;
 pub mod parser;
 pub mod plan;
 pub mod program;
@@ -67,8 +70,7 @@ pub mod term;
 
 pub use atom::{Atom, Literal};
 pub use error::DatalogError;
-pub use eval::{bound_scan, DerivationFilter, Evaluator};
-pub use magic::{magic_rewrite, Adornment, MagicRewrite};
+pub use eval::{DerivationFilter, Evaluator};
 pub use parser::{
     line_col, parse_atom, parse_program, parse_program_spanned, parse_rule, SourceSpan,
 };

@@ -29,7 +29,6 @@ use std::sync::Arc;
 use orchestra_storage::{Database, Relation, ValueId, ValuePool};
 
 use crate::compile::{BoundSource, CompiledHeadTerm, CompiledRule};
-use crate::magic::{magic_rewrite, Adornment, MagicRewrite};
 use crate::program::{Program, Stratification};
 use crate::Result;
 
@@ -140,20 +139,6 @@ struct RulePlan {
     deltas: HashMap<usize, CompiledPlan>,
 }
 
-/// A cached demand rewrite for one `(predicate, adornment)` of the cached
-/// program, together with a **nested** [`PlanCache`] holding the rewritten
-/// program's compiled plans. The rewrite itself is binding-value free (the
-/// bound constants are seeded as facts at evaluation time), so one entry
-/// serves every point query with this shape; the nested cache's
-/// [`IdPlan`]s hold interned pool ids, so it is invalidated exactly like
-/// the outer plans (pool compaction, cardinality-band shifts, program
-/// change).
-#[derive(Debug)]
-pub(crate) struct MagicEntry {
-    pub(crate) rewrite: MagicRewrite,
-    pub(crate) plans: PlanCache,
-}
-
 /// Program facts that never depend on the data: the validated
 /// stratification and, per relation, the `(rule, body_index)` of every
 /// positive body occurrence of it. Cheap to clone (shared).
@@ -190,10 +175,6 @@ pub struct PlanCache {
     arities: Option<Arc<std::collections::BTreeMap<String, usize>>>,
     /// Relation name → (cardinality band, cardinality) at last replanning.
     cards: HashMap<String, (u32, usize)>,
-    /// Demand rewrites per `(predicate, adornment)`, each with its own
-    /// nested plan cache (see [`MagicEntry`]). Reset whenever the program
-    /// fingerprint changes; nested plans dropped with the outer plans.
-    magic: HashMap<(String, Adornment), MagicEntry>,
     /// Compiled-plan reuses since construction.
     pub(crate) hits: u64,
     /// Plans compiled since construction.
@@ -224,11 +205,6 @@ impl PlanCache {
     pub fn invalidate_plans(&mut self) {
         for p in &mut self.plans {
             *p = RulePlan::default();
-        }
-        // Adorned demand plans hold the same pool-id currency in their
-        // nested caches; the rewrites themselves are id-free and survive.
-        for e in self.magic.values_mut() {
-            e.plans.invalidate_plans();
         }
     }
 
@@ -324,12 +300,7 @@ impl PlanCache {
             }
         }
         if shifted {
-            for p in &mut self.plans {
-                *p = RulePlan::default();
-            }
-            for e in self.magic.values_mut() {
-                e.plans.invalidate_plans();
-            }
+            self.invalidate_plans();
         }
     }
 
@@ -407,37 +378,6 @@ impl PlanCache {
             .deltas
             .get(&body_index)
             .expect("delta plan pre-compiled before its round")
-    }
-
-    /// The cached demand rewrite for `(predicate, adornment)`, built on
-    /// first use. Returns the entry and whether it was a cache hit. The
-    /// caller must have [`prepare`](PlanCache::prepare)d the cache for
-    /// `program` first (a program change resets the whole cache, including
-    /// these entries).
-    pub(crate) fn magic_entry(
-        &mut self,
-        program: &Program,
-        predicate: &str,
-        adornment: &Adornment,
-    ) -> Result<(&mut MagicEntry, bool)> {
-        let key = (predicate.to_string(), adornment.clone());
-        let hit = self.magic.contains_key(&key);
-        if !hit {
-            let rewrite = magic_rewrite(program, predicate, adornment)?;
-            self.magic.insert(
-                key.clone(),
-                MagicEntry {
-                    rewrite,
-                    plans: PlanCache::new(),
-                },
-            );
-        }
-        Ok((self.magic.get_mut(&key).expect("just inserted"), hit))
-    }
-
-    /// Number of cached demand rewrites (test/diagnostic surface).
-    pub fn magic_entry_count(&self) -> usize {
-        self.magic.len()
     }
 }
 
@@ -572,13 +512,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_plans_drops_stale_magic_plans_after_compaction() {
+    fn invalidate_plans_drops_stale_plans_after_compaction() {
         use crate::eval::Evaluator;
-        use crate::magic::Adornment;
         use orchestra_storage::Value;
 
-        // A rule with a body *constant* forces the nested magic plans to
-        // intern a ValueId: hop(x, y) :- edge(x, y), mark(y, 1).
+        // A rule with a body *constant* makes the compiled plan intern a
+        // ValueId: hop(x, y) :- edge(x, y), mark(y, 1).
         let program = Program::from_rules(vec![Rule::new(
             Atom::with_vars("hop", &["x", "y"]),
             vec![
@@ -601,31 +540,27 @@ mod tests {
         for i in 0..64i64 {
             db.pool_mut().intern(&Value::text(format!("churn-{i}")));
         }
-        db.insert("edge", int_tuple(&[10, 20])).unwrap();
-        db.insert("edge", int_tuple(&[10, 30])).unwrap();
-        db.insert("mark", int_tuple(&[20, 1])).unwrap();
-        db.insert("mark", int_tuple(&[30, 2])).unwrap();
+        for t in [[10, 20], [10, 30], [11, 30]] {
+            db.insert("edge", int_tuple(&t)).unwrap();
+        }
+        for t in [[20, 1], [30, 2], [50, 3]] {
+            db.insert("mark", int_tuple(&t)).unwrap();
+        }
 
-        let binding = vec![Some(Value::int(10)), None];
         let mut cache = PlanCache::new();
         let mut eval = Evaluator::new();
-        let before = eval
-            .run_demand_cached(&mut cache, &program, &mut db, "hop", &binding)
+        let hop = |db: &Database| db.relation("hop").unwrap().sorted_tuples();
+        eval.run_filtered_cached(&mut cache, &program, &mut db, None)
             .unwrap();
-        assert_eq!(before, vec![int_tuple(&[10, 20])]);
-        let key = ("hop".to_string(), Adornment::from_binding(&binding));
+        assert_eq!(hop(&db), vec![int_tuple(&[10, 20])]);
         assert!(
-            cache.magic[&key]
-                .plans
-                .plans
-                .iter()
-                .any(|p| p.base.is_some()),
-            "nested demand plans compiled"
+            cache.plans.iter().any(|p| p.base.is_some()),
+            "plans compiled"
         );
 
         // Compaction re-stamps the pool: the churn values are garbage, so
-        // every live id moves. The nested IdPlan's interned `1` would now
-        // alias a different live value — invalidate_plans must drop it.
+        // every live id moves. The IdPlan's interned `1` would now alias a
+        // different value (or none) — invalidate_plans must drop it.
         let remapped = db.compact_pool();
         assert!(
             remapped.reclaimed() > 0,
@@ -633,29 +568,33 @@ mod tests {
         );
         cache.invalidate_plans();
         assert!(
-            cache.magic[&key]
-                .plans
-                .plans
-                .iter()
-                .all(|p| p.base.is_none()),
-            "nested demand plans dropped with the outer plans"
+            cache.plans.iter().all(|p| p.base.is_none()),
+            "plans dropped"
         );
 
-        let after = eval
-            .run_demand_cached(&mut cache, &program, &mut db, "hop", &binding)
+        // New facts within every relation's band, so only the
+        // invalidation (not a band shift) forces the recompile.
+        db.insert("edge", int_tuple(&[10, 40])).unwrap();
+        db.insert("mark", int_tuple(&[40, 1])).unwrap();
+        eval.run_filtered_cached(&mut cache, &program, &mut db, None)
             .unwrap();
-        assert_eq!(after, before, "recompiled plans re-intern the constant");
+        let mut fresh = db.clone();
+        fresh.relation_mut("hop").unwrap().clear();
+        Evaluator::new().run(&program, &mut fresh).unwrap();
+        assert_eq!(hop(&db), vec![int_tuple(&[10, 20]), int_tuple(&[10, 40])]);
+        assert_eq!(
+            hop(&db),
+            hop(&fresh),
+            "recompiled plans re-intern the constant"
+        );
 
-        // Band shifts also drop the adorned plans.
+        // Band shifts also drop the plans.
+        assert!(cache.plans.iter().any(|p| p.base.is_some()));
         for i in 0..200i64 {
             db.insert("edge", int_tuple(&[i + 1000, i + 2000])).unwrap();
         }
         cache.refresh(&program, &db);
-        assert!(cache.magic[&key]
-            .plans
-            .plans
-            .iter()
-            .all(|p| p.base.is_none()));
+        assert!(cache.plans.iter().all(|p| p.base.is_none()));
     }
 
     #[test]

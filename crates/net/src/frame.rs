@@ -67,6 +67,8 @@ impl FrameKind {
 }
 
 /// Write one frame (header + payload) at [`VERSION`] and flush the stream.
+/// Header and payload go out in a single `write_all`, so on a
+/// `TCP_NODELAY` socket a small frame leaves as one segment, not two.
 pub fn write_frame(stream: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| NetError::protocol("payload exceeds u32 length"))?;
@@ -75,15 +77,15 @@ pub fn write_frame(stream: &mut impl Write, kind: FrameKind, payload: &[u8]) -> 
             "payload of {len} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit"
         )));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = VERSION;
-    header[5] = kind.as_u8();
-    header[6..10].copy_from_slice(&len.to_le_bytes());
-    header[10..14].copy_from_slice(&crc32(payload).to_le_bytes());
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.push(VERSION);
+    frame.push(kind.as_u8());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
     stream
-        .write_all(&header)
-        .and_then(|()| stream.write_all(payload))
+        .write_all(&frame)
         .and_then(|()| stream.flush())
         .map_err(|e| NetError::io("writing frame", &e))
 }
@@ -202,6 +204,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// A sink that accepts every byte and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"hello", &[7u8; 4096]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, FrameKind::Response, payload).unwrap();
+            assert_eq!(sink.writes, 1, "{}-byte payload", payload.len());
+        }
+    }
 
     #[test]
     fn frames_roundtrip() {

@@ -45,8 +45,8 @@ pub struct NetLoadConfig {
     /// mode; 0 skips the phase). Keys are drawn zipfian (s = 1, hot keys
     /// dominate the way point lookups do in practice) from the distinct
     /// first-column values of the first target relation, and each draw
-    /// issues a `QueryCertainWhere` with that value bound — the demand
-    /// path over the wire. Round trips are summarized as the
+    /// issues a `QueryCertainWhere` with that value bound — the indexed
+    /// point-read path over the wire. Round trips are summarized as the
     /// `"query-certain-where"` latency entry.
     pub point_queries: usize,
 }

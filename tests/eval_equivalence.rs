@@ -409,81 +409,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Demand differential: for random programs and random point bindings,
-    /// the magic-sets demand path (seeded from the bound constants,
-    /// exploring only the relevant derivation cone) answers exactly the
-    /// full fixpoint restricted to the binding — byte-identically under the
-    /// canonical encode — without ever materialising the full IDB.
-    #[test]
-    fn demand_answers_match_filtered_full_fixpoint(
-        (specs, base, batch1, batch2) in scenario_strategy(),
-        pred_pick in 0usize..IDB.len(),
-        bind_mask in 1usize..4,
-        bind_vals in (0i64..6, 0i64..6),
-    ) {
-        let Some(program) = build_program(&specs) else { continue };
-        // One static base: the demand path answers point queries, not
-        // incremental streams, so fold every generated batch in up front.
-        let facts: Vec<Fact> = base.into_iter().chain(batch1).chain(batch2).collect();
-        let predicate = IDB[pred_pick];
-        let binding: Vec<Option<orchestra_storage::Value>> = (0..2)
-            .map(|col| {
-                let v = if col == 0 { bind_vals.0 } else { bind_vals.1 };
-                (bind_mask & (1 << col) != 0).then_some(orchestra_storage::Value::Int(v))
-            })
-            .collect();
-
-        // Oracle: full fixpoint, then filter to the binding.
-        let mut full_db = fresh_db();
-        load_facts(&mut full_db, &facts);
-        let mut full_eval = Evaluator::new();
-        full_eval.run(&program, &mut full_db).unwrap();
-        let expected = orchestra_datalog::bound_scan(&full_db, predicate, &binding).unwrap();
-
-        let mut db = fresh_db();
-        load_facts(&mut db, &facts);
-        let mut cache = orchestra_datalog::PlanCache::new();
-        let mut eval = Evaluator::new();
-        let answers = eval
-            .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
-            .unwrap();
-
-        // Byte-identical under the canonical codec, not just equal.
-        let mut w_got = Writer::new();
-        orchestra_persist::codec::encode_seq(&answers, &mut w_got);
-        let mut w_want = Writer::new();
-        orchestra_persist::codec::encode_seq(&expected, &mut w_want);
-        prop_assert_eq!(
-            w_got.into_bytes(),
-            w_want.into_bytes(),
-            "demand answers diverge from the filtered full fixpoint \
-             (predicate {}) for program:\n{}",
-            predicate, program
-        );
-
-        // Demand never materialised the full IDB: the stored IDB
-        // relations are exactly as empty as before the query.
-        for idb in IDB {
-            prop_assert_eq!(
-                db.relation(idb).unwrap().len(),
-                0,
-                "demand query filled stored IDB relation {}",
-                idb
-            );
-        }
-
-        // Re-asking through the same cache reuses the adorned entry
-        // and still agrees.
-        let again = eval
-            .run_demand_cached(&mut cache, &program, &mut db, predicate, &binding)
-            .unwrap();
-        prop_assert_eq!(&again, &expected);
-    }
-}
-
 // ---------------------------------------------------------------------
 // CDSS-level: random edit streams on the paper's running example.
 // ---------------------------------------------------------------------
