@@ -56,8 +56,8 @@ pub enum Code {
     /// A rule body requires the same atom both positively and negatively, so
     /// it can never be satisfied.
     W002,
-    /// Every head column is a Skolem term, so the rule's head can never unify
-    /// with a bound demand adornment (point queries will never use it).
+    /// Every head column is a Skolem term, so every tuple the rule derives
+    /// holds only labeled nulls and is never a certain answer.
     W003,
     /// A rule body references a relation that is neither derived by any rule
     /// nor a declared edb, so the rule can never fire.
@@ -109,7 +109,7 @@ impl Code {
             Code::E007 => "rule derives a declared edb relation",
             Code::W001 => "derived relation is never used",
             Code::W002 => "rule body is unsatisfiable",
-            Code::W003 => "head can never match a bound demand adornment",
+            Code::W003 => "head derives only labeled nulls",
             Code::W004 => "rule depends on an unknown relation",
         }
     }

@@ -4,9 +4,9 @@
 //!   list as an output root): dead derivation work.
 //! * **W002** — a body requiring the same atom positively and negatively can
 //!   never be satisfied: the rule is unreachable.
-//! * **W003** — every head column is a Skolem term, so the `PlanCache`'s
-//!   demand adornments can never bind a column of this rule's head: point
-//!   queries will always fall back to full scans of it.
+//! * **W003** — every head column is a Skolem term, so every tuple the rule
+//!   derives holds only labeled nulls: none is ever a certain answer, and a
+//!   point read cannot bind a known value to any of its columns.
 //! * **W004** — (with declared edbs) a body references a relation that is
 //!   neither derived nor extensional, so the rule can never fire.
 
@@ -77,7 +77,7 @@ pub(crate) fn check(
             );
         }
 
-        // W003: no bindable head column.
+        // W003: a head of labeled nulls only.
         if !rule.head.terms.is_empty()
             && rule
                 .head
@@ -89,15 +89,15 @@ pub(crate) fn check(
                 Diagnostic::new(
                     Code::W003,
                     format!(
-                        "every head column of `{}` is a Skolem term; no bound demand \
-                         adornment can ever unify with this rule's head",
+                        "every head column of `{}` is a Skolem term; every tuple this \
+                         rule derives holds only labeled nulls",
                         rule.head.relation
                     ),
                 )
                 .with_rule(ri, rule)
                 .with_note(
-                    "point queries through the magic-sets rewrite will never use this \
-                     rule; only full scans can answer queries over it",
+                    "no tuple of this rule is ever a certain answer, and a point read \
+                     cannot bind a known value to any of its columns",
                 ),
             );
         }
@@ -161,7 +161,16 @@ mod tests {
     #[test]
     fn all_skolem_head_warns() {
         let diags = run("N(#f0(x)) :- G(x).", None, &["N"]);
-        assert_eq!(diags.iter().filter(|d| d.code == Code::W003).count(), 1);
+        let w003: Vec<_> = diags.iter().filter(|d| d.code == Code::W003).collect();
+        assert_eq!(w003.len(), 1);
+        // The reason given is the one that holds: labeled nulls, never
+        // certain answers. No demand-evaluation machinery is named.
+        let text = format!("{}\n{}", w003[0], Code::W003.title());
+        assert!(text.contains("labeled nulls"), "{text}");
+        assert!(text.contains("certain answer"), "{text}");
+        for stale in ["adornment", "magic", "demand"] {
+            assert!(!text.to_lowercase().contains(stale), "{text}");
+        }
         // A mixed head (the compiled m″ shape) stays quiet.
         assert!(run("U(n, #f0(n)) :- B(i, n).", None, &["U"]).is_empty());
     }

@@ -20,7 +20,7 @@
 //! | `E007` | rule derives a declared edb relation |
 //! | `W001` | derived relation never used (and not an output root) |
 //! | `W002` | rule body requires an atom both positively and negatively |
-//! | `W003` | all-Skolem head — unreachable by any bound demand adornment |
+//! | `W003` | all-Skolem head — derives only labeled nulls, never certain answers |
 //! | `W004` | body references a relation nothing can populate |
 //!
 //! ```

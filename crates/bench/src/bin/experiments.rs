@@ -6,8 +6,9 @@
 //! ORCHESTRA_SCALE=2.0 cargo run -p orchestra-bench --bin experiments --release
 //! ```
 //!
-//! The output of this binary is the source of the measured numbers recorded
-//! in `EXPERIMENTS.md`.
+//! The printed tables are the measured figure sweeps; `--snapshot` records
+//! reduced-size medians in `BENCH_joins.json`, and `--check` gates a fresh
+//! run against them.
 
 use orchestra_bench::netlat::{latency_rows, p99_gate, run_net_latency};
 use orchestra_bench::snapshot::{

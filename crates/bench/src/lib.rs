@@ -16,9 +16,10 @@
 //! Each `run_figN` function sweeps the same relative parameters the paper
 //! sweeps (number of peers, update percentage, deletion ratio, number of
 //! cycles, dataset) at a laptop-friendly scale and returns one row
-//! per plotted point. The `experiments` binary prints the rows as tables and
-//! they are recorded in `EXPERIMENTS.md`; the Criterion benches under
-//! `benches/` time representative cells of the same sweeps.
+//! per plotted point. The `experiments` binary prints the rows as tables,
+//! and `experiments --snapshot` records reduced-size medians in
+//! `BENCH_joins.json`; the Criterion benches under `benches/` time
+//! representative cells of the same sweeps.
 //!
 //! Absolute numbers differ from the paper (the substrate is an in-memory
 //! Rust engine, not DB2/Tukwila on 2007 hardware); the quantities that must

@@ -1,5 +1,5 @@
-//! The `fig_net` latency-under-exchange scenario: query tail latency while
-//! an update exchange holds the server's write lock.
+//! The net-latency scenario (the `fig_net_qlat/*` rows): query tail latency
+//! while an update exchange holds the server's write lock.
 //!
 //! A server is started over the three-peer example scenario, a client
 //! measures `QueryLocal` round-trips **idle** (no writer), then a bulk

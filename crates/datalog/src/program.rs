@@ -250,19 +250,6 @@ impl Program {
             cycle: vec![hint.to_string()],
         }
     }
-
-    /// The relations each idb relation depends on (positively or negatively),
-    /// i.e. the edge list of the program's predicate dependency graph.
-    pub fn dependencies(&self) -> BTreeMap<String, BTreeSet<String>> {
-        let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for r in &self.rules {
-            let entry = out.entry(r.head.relation.clone()).or_default();
-            for lit in &r.body {
-                entry.insert(lit.relation().to_string());
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Program {
@@ -505,15 +492,6 @@ mod tests {
         )]);
         let failure = p.stratify_detailed().unwrap_err();
         assert_eq!(failure.cycle, vec!["p".to_string(), "p".into()]);
-    }
-
-    #[test]
-    fn dependencies_edge_list() {
-        let p = simple_program();
-        let deps = p.dependencies();
-        assert!(deps["B"].contains("G"));
-        assert!(deps["B"].contains("U"));
-        assert!(deps["U"].contains("G"));
     }
 
     #[test]

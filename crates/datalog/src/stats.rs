@@ -3,8 +3,8 @@
 //! The experimental section of the paper reasons about the *number of
 //! queries executed*, the *number of fixpoint iterations*, and the volume of
 //! data carried around (strings vs integers). [`EvalStats`] captures those
-//! quantities so the benchmark harness and EXPERIMENTS.md can report them
-//! alongside wall-clock time.
+//! quantities so the `experiments` tables and `BENCH_joins.json` can report
+//! them alongside wall-clock time.
 
 use std::fmt;
 use std::ops::AddAssign;

@@ -1,8 +1,9 @@
 //! The blocking client library: [`NetClient`].
 //!
 //! One client owns one TCP connection and issues request/response pairs
-//! synchronously. Clients are cheap: a load generator opens one per worker
-//! thread (see `orchestra_workload::netload`).
+//! synchronously. Clients are cheap: a benchmark opens one per concurrent
+//! role (`cdss_bench`'s `served_mixed` runs a writer and a reader side by
+//! side).
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

@@ -27,7 +27,8 @@
 //!   epochs, per-request metrics, and graceful shutdown.
 //! * [`client`] — a **blocking client library** ([`NetClient`]) with
 //!   connect/retry, used by the examples, the integration tests, the
-//!   `fig_net` benchmark and `orchestra_workload::netload`.
+//!   `experiments` net-latency gate and `cdss_bench`'s `served_mixed`
+//!   workload.
 //!
 //! ```no_run
 //! use orchestra_net::{serve, EditBatch, NetClient};

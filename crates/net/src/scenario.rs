@@ -30,8 +30,8 @@ pub fn example_scenario() -> Cdss {
 }
 
 /// The relations a client can edit in the [`example_scenario`], as
-/// `(peer, relation, arity)` triples — the targets the net load generator
-/// publishes against.
+/// `(peer, relation, arity)` triples — the targets the concurrent-publish
+/// tests (`tests/net_concurrent.rs`) publish against.
 pub fn example_targets() -> Vec<(String, String, usize)> {
     vec![
         ("PGUS".into(), "G".into(), 3),

@@ -20,9 +20,10 @@
 //!   way §6.1 describes;
 //! * [`config`] holds the knobs (number of peers, base size, dataset kind,
 //!   number of cycles, RNG seed) swept by the benchmark harness;
-//! * [`netload`] is the client-driven load mode: concurrent
-//!   [`orchestra_net::NetClient`] workers publishing edit batches against a
-//!   running `orchestrad` server, measuring service-level throughput.
+//! * [`netload`] holds the latency summaries the service benchmarks share:
+//!   nearest-rank percentiles and a parser for a server's per-request
+//!   latency histograms. The service benchmark itself is `cdss_bench`'s
+//!   `served_mixed` workload.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,5 +35,4 @@ pub mod swissprot;
 
 pub use config::{DatasetKind, WorkloadConfig};
 pub use generator::{generate, GeneratedCdss, GeneratedPeer};
-pub use netload::{run_net_load, NetLoadConfig, NetLoadReport};
 pub use swissprot::{UniversalEntry, UniversalSchema, NUM_ATTRIBUTES};
