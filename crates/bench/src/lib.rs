@@ -18,8 +18,7 @@
 //! cycles, dataset) at a laptop-friendly scale and returns one row
 //! per plotted point. The `experiments` binary prints the rows as tables,
 //! and `experiments --snapshot` records reduced-size medians in
-//! `BENCH_joins.json`; the Criterion benches under `benches/` time
-//! representative cells of the same sweeps.
+//! `BENCH_joins.json`.
 //!
 //! Absolute numbers differ from the paper (the substrate is an in-memory
 //! Rust engine, not DB2/Tukwila on 2007 hardware); the quantities that must

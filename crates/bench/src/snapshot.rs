@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use orchestra_datalog::{parse_program, Evaluator, PlanCache};
+use orchestra_datalog::{parse_program, Evaluator, PlanCache, Seed};
 use orchestra_storage::{tuple::int_tuple, Database, RelationSchema, Value};
 use orchestra_workload::DatasetKind;
 
@@ -119,7 +119,8 @@ fn tc_fixpoint(scale: Scale) -> SnapshotRow {
         || tc_database(chain, extra),
         |db| {
             let mut eval = Evaluator::new();
-            eval.run(&program, db).unwrap();
+            eval.fixpoint(&mut PlanCache::new(), &program, db, Seed::All, None)
+                .unwrap();
             db.relation("path").unwrap().len()
         },
     )
@@ -142,7 +143,7 @@ fn tc_incremental(scale: Scale) -> SnapshotRow {
             let mut db = tc_database(chain, extra);
             let mut eval = Evaluator::new();
             let mut cache = PlanCache::new();
-            eval.run_filtered_cached(&mut cache, &program, &mut db, None)
+            eval.fixpoint(&mut cache, &program, &mut db, Seed::All, None)
                 .unwrap();
             // Warm the delta plans at post-fixpoint cardinalities with two
             // small extensions disjoint from the measured one.
@@ -154,7 +155,7 @@ fn tc_incremental(scale: Scale) -> SnapshotRow {
                         .map(|i| int_tuple(&[-(10 + 10 * round + i), -(11 + 10 * round + i)]))
                         .collect::<Vec<_>>(),
                 );
-                eval.propagate_insertions_cached(&mut cache, &program, &mut db, &warm, None)
+                eval.fixpoint(&mut cache, &program, &mut db, Seed::Insert(&warm), None)
                     .unwrap();
             }
             // The measured delta: the same chain extension as always.
@@ -170,9 +171,9 @@ fn tc_incremental(scale: Scale) -> SnapshotRow {
         },
         |(db, eval, cache, deltas)| {
             let new = eval
-                .propagate_insertions_cached(cache, &program, db, deltas, None)
+                .fixpoint(cache, &program, db, Seed::Insert(deltas), None)
                 .unwrap();
-            new.values().map(Vec::len).sum()
+            new.fresh.values().map(Vec::len).sum()
         },
     )
 }

@@ -14,7 +14,8 @@ use orchestra_provenance::{
 };
 use orchestra_storage::schema::{internal_name, InternalRole};
 use orchestra_storage::{
-    Database, DatabaseStats, EditLog, PoolCompaction, PoolStats, RelationSource, Tuple, Value,
+    Database, DatabaseStats, EditLog, PoolCompaction, PoolStats, RelationSource, Tuple, TupleId,
+    Value,
 };
 
 use crate::error::CdssError;
@@ -970,9 +971,12 @@ impl GraphCache {
         &self.graph
     }
 
-    /// Queue freshly propagated insertions for incremental folding on the
-    /// next read. A stale graph stays stale — it will be rebuilt from the
-    /// store (which already contains the insertions) on next use.
+    /// Queue freshly propagated insertions (the ids an insertion fixpoint
+    /// stored, per relation) for incremental folding on the next read; they
+    /// are resolved to tuples here, because a later deletion may retire the
+    /// ids before the fold. A stale graph stays stale — it will be rebuilt
+    /// from the store (which already contains the insertions) on next use —
+    /// and resolves nothing.
     ///
     /// The queue is bounded: once more than [`GraphCache::MAX_PENDING_TUPLES`]
     /// tuples are queued, the cache collapses to a full invalidation. The
@@ -982,16 +986,26 @@ impl GraphCache {
     /// queue without limit.
     pub fn extend_with_insertions(
         &mut self,
-        new_tuples: std::collections::HashMap<String, Vec<Tuple>>,
-    ) {
+        db: &Database,
+        fresh: std::collections::HashMap<String, Vec<TupleId>>,
+    ) -> Result<()> {
         if self.dirty {
-            return;
+            return Ok(());
         }
-        self.pending_tuples += new_tuples.values().map(Vec::len).sum::<usize>();
-        self.pending.push(new_tuples);
+        let mut batch = std::collections::HashMap::with_capacity(fresh.len());
+        for (name, ids) in fresh {
+            let rel = db.relation(&name)?;
+            self.pending_tuples += ids.len();
+            batch.insert(
+                name,
+                ids.iter().map(|&id| rel.tuple_by_id(id).clone()).collect(),
+            );
+        }
+        self.pending.push(batch);
         if self.pending_tuples > Self::MAX_PENDING_TUPLES {
             self.invalidate();
         }
+        Ok(())
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use orchestra_datalog::delta::deletion_candidates;
-use orchestra_datalog::{DerivationFilter, Evaluator};
+use orchestra_datalog::{DerivationFilter, Evaluator, Seed};
 use orchestra_provenance::ProvenanceToken;
 use orchestra_storage::schema::{internal_name, InternalRole};
 use orchestra_storage::Tuple;
@@ -112,7 +112,9 @@ impl Cdss {
                 Some(&filter)
             };
             let mut eval = Evaluator::new();
-            report.eval_stats = eval.run_filtered_cached(plans, &system.program, db, active)?;
+            report.eval_stats = eval
+                .fixpoint(plans, &system.program, db, Seed::All, active)?
+                .stats;
 
             for logical in system.logical_relations() {
                 for role in [InternalRole::Input, InternalRole::Output] {
@@ -179,16 +181,16 @@ impl Cdss {
             Some(&filter)
         };
         let mut eval = Evaluator::new();
-        let new = eval.propagate_insertions_cached(plans, &system.program, db, &base, active)?;
-        report.eval_stats = eval.take_stats();
+        let new = eval.fixpoint(plans, &system.program, db, Seed::Insert(&base), active)?;
+        report.eval_stats = new.stats;
 
-        for (rel, ts) in &new {
-            report.add_inserted(rel, ts.len());
+        for (rel, ids) in &new.fresh {
+            report.add_inserted(rel, ids.len());
         }
         {
             let _graph_span = orchestra_obs::span("provenance-rebuild", "core");
             let t_graph = Instant::now();
-            graph.extend_with_insertions(new);
+            graph.extend_with_insertions(db, new.fresh)?;
             phase_histogram("provenance-rebuild").observe(t_graph.elapsed());
         }
         report.duration = start.elapsed();
@@ -456,9 +458,9 @@ impl Cdss {
             ts.dedup();
         }
         let reinserted =
-            eval.propagate_insertions_cached(plans, &system.program, db, &rederive, active)?;
-        for (rel, ts) in &reinserted {
-            report.add_inserted(rel, ts.len());
+            eval.fixpoint(plans, &system.program, db, Seed::Insert(&rederive), active)?;
+        for (rel, ids) in &reinserted.fresh {
+            report.add_inserted(rel, ids.len());
         }
         report.eval_stats = eval.take_stats();
 

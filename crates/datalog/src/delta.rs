@@ -1,14 +1,11 @@
 //! Delta rules for incremental maintenance (paper §4.2).
 //!
 //! Following Gupta–Mumick–Subrahmanian (the paper's reference [18]) the CDSS
-//! converts every mapping rule into *delta rules*. This module provides:
+//! converts every mapping rule into *delta rules*. Insertion delta rules
+//! need no explicit program: [`crate::Evaluator::fixpoint`] seeded with
+//! [`crate::eval::Seed::Insert`] feeds each round's new tuples into every
+//! positive body occurrence that can consume them. This module provides:
 //!
-//! * [`insertion_delta_program`] — an explicit datalog rendering of the
-//!   insertion delta rules (`R⁺` relations). The [`crate::Evaluator`] also
-//!   implements insertion propagation natively
-//!   ([`crate::Evaluator::propagate_insertions`]); the explicit program is
-//!   used in tests to check the two formulations agree, and is exposed so
-//!   downstream users can inspect the rules the engine effectively runs.
 //! * [`deletion_candidates`] — evaluation of the *deletion* delta rules: the
 //!   immediate consequents of deleted tuples, i.e. every derived tuple one of
 //!   whose rule instantiations used a deleted tuple. This is step 4 of the
@@ -19,84 +16,11 @@ use std::collections::{HashMap, HashSet};
 
 use orchestra_storage::{Database, Relation, RelationSchema, Tuple, TupleId};
 
-use crate::atom::{Atom, Literal};
 use crate::error::DatalogError;
 use crate::eval::{eval_rule_once, DeltaRows};
 use crate::program::Program;
-use crate::rule::Rule;
 use crate::stats::EvalStats;
 use crate::Result;
-
-/// Suffix used for insertion-delta relations (`R⁺` in the paper's notation).
-pub const INSERTION_SUFFIX: &str = "__ins";
-
-/// The insertion-delta relation name for `relation`.
-pub fn insertion_relation(relation: &str) -> String {
-    format!("{relation}{INSERTION_SUFFIX}")
-}
-
-/// Build the explicit insertion delta program for `program`.
-///
-/// For every rule `H :- B₁, …, Bₙ` (negated literals untouched) and every
-/// positive body position `i`, the delta program contains
-/// `H⁺ :- B₁, …, Bᵢ⁺, …, Bₙ`, plus a folding rule `R :- R⁺` for every idb
-/// relation `R`, so that newly derived tuples participate in further
-/// derivations. Seeding the `R⁺` relations of base (edb) relations with the
-/// newly inserted tuples and running the combined program to fixpoint yields
-/// the same database as re-running the original program from scratch.
-pub fn insertion_delta_program(program: &Program) -> Program {
-    let mut rules: Vec<Rule> = Vec::new();
-    let idb = program.idb_relations();
-
-    // Folding rules: R(x̄) :- R⁺(x̄).
-    let arities = program
-        .relation_arities()
-        .expect("programs are validated before delta generation");
-    for rel in &idb {
-        let arity = arities[rel];
-        let vars: Vec<String> = (0..arity).map(|i| format!("x{i}")).collect();
-        let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-        rules.push(Rule::positive(
-            Atom::with_vars(rel.clone(), &var_refs),
-            vec![Atom::with_vars(insertion_relation(rel), &var_refs)],
-        ));
-    }
-
-    // Delta rules: one per rule per positive body position.
-    for rule in program.rules() {
-        let positive_positions: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.negated)
-            .map(|(i, _)| i)
-            .collect();
-        for &pos in &positive_positions {
-            let head = Atom::new(
-                insertion_relation(&rule.head.relation),
-                rule.head.terms.clone(),
-            );
-            let body: Vec<Literal> = rule
-                .body
-                .iter()
-                .enumerate()
-                .map(|(i, lit)| {
-                    if i == pos {
-                        Literal::positive(Atom::new(
-                            insertion_relation(lit.relation()),
-                            lit.atom.terms.clone(),
-                        ))
-                    } else {
-                        lit.clone()
-                    }
-                })
-                .collect();
-            rules.push(Rule::new(head, body));
-        }
-    }
-
-    Program::from_rules(rules)
-}
 
 /// Evaluate the deletion delta rules: for every rule of `program` and every
 /// positive body occurrence whose relation has entries in `deleted`, find the
@@ -166,7 +90,10 @@ pub fn deletion_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::atom::Atom;
+    use crate::eval::{Evaluator, Seed};
+    use crate::plan::PlanCache;
+    use crate::rule::Rule;
     use orchestra_storage::{tuple::int_tuple, RelationSchema};
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
@@ -194,56 +121,17 @@ mod tests {
     }
 
     #[test]
-    fn delta_program_structure() {
-        let dp = insertion_delta_program(&tc_program());
-        // 1 folding rule (path) + 1 delta rule for rule 1 + 2 for rule 2.
-        assert_eq!(dp.len(), 4);
-        let text = dp.to_string();
-        assert!(text.contains("path(x0, x1) :- path__ins(x0, x1)."));
-        assert!(text.contains("path__ins(x, y) :- edge__ins(x, y)."));
-        assert!(text.contains("path__ins(x, z) :- path__ins(x, y), edge(y, z)."));
-        assert!(text.contains("path__ins(x, z) :- path(x, y), edge__ins(y, z)."));
-        dp.validate().unwrap();
-    }
-
-    #[test]
-    fn explicit_delta_program_agrees_with_native_propagation() {
-        // Base: edges 1->2->3; then insert 3->4 incrementally.
-        let base_edges = [(1, 2), (2, 3)];
-        let new_edge = int_tuple(&[3, 4]);
-
-        // Native propagation.
-        let mut native = edge_db(&base_edges);
-        let mut eval = Evaluator::new();
-        eval.run(&tc_program(), &mut native).unwrap();
-        let mut deltas = HashMap::new();
-        deltas.insert("edge".to_string(), vec![new_edge.clone()]);
-        eval.propagate_insertions(&tc_program(), &mut native, &deltas, None)
-            .unwrap();
-
-        // Explicit delta program: seed edge__ins and run the combined program.
-        let mut explicit = edge_db(&base_edges);
-        let mut eval2 = Evaluator::new();
-        eval2.run(&tc_program(), &mut explicit).unwrap();
-        explicit.insert("edge", new_edge.clone()).unwrap();
-        explicit
-            .create_relation(RelationSchema::new("edge__ins", &["s", "d"]))
-            .unwrap();
-        explicit.insert("edge__ins", new_edge).unwrap();
-        let mut combined = tc_program();
-        combined.extend(insertion_delta_program(&tc_program()));
-        eval2.run(&combined, &mut explicit).unwrap();
-
-        assert_eq!(
-            native.relation("path").unwrap().sorted_tuples(),
-            explicit.relation("path").unwrap().sorted_tuples()
-        );
-    }
-
-    #[test]
     fn deletion_candidates_find_immediate_consequents() {
         let mut db = edge_db(&[(1, 2), (2, 3), (3, 4)]);
-        Evaluator::new().run(&tc_program(), &mut db).unwrap();
+        Evaluator::new()
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut db,
+                Seed::All,
+                None,
+            )
+            .unwrap();
 
         // Delete edge (2,3): candidates are every path tuple derived using it.
         let mut deleted = HashMap::new();
@@ -262,7 +150,15 @@ mod tests {
     #[test]
     fn deletion_candidates_empty_when_nothing_deleted() {
         let mut db = edge_db(&[(1, 2)]);
-        Evaluator::new().run(&tc_program(), &mut db).unwrap();
+        Evaluator::new()
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut db,
+                Seed::All,
+                None,
+            )
+            .unwrap();
         let cands = deletion_candidates(&tc_program(), &mut db, &HashMap::new()).unwrap();
         assert!(cands.is_empty());
     }

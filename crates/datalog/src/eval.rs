@@ -1,19 +1,22 @@
 //! Fixpoint evaluation of datalog programs over a [`Database`].
 //!
-//! The evaluator implements the recursive datalog-with-Skolems semantics of
-//! paper §4.1.1: per-stratum semi-naive fixpoint computation over prepared
-//! join plans probing persistent indexes on the stored relations. It also
-//! implements the *insertion* half of incremental update exchange (§4.2):
-//! externally supplied base-tuple deltas are pushed through the program's
-//! delta rules until fixpoint, optionally filtered tuple-by-tuple by a trust
-//! predicate.
+//! One semi-naive engine serves both the recursive datalog-with-Skolems
+//! semantics of paper §4.1.1 and the *insertion* half of incremental update
+//! exchange (§4.2), through one entry point, [`Evaluator::fixpoint`]. Only
+//! the seed differs: [`Seed::All`] opens each stratum with round 0 (every
+//! rule against the whole database), while [`Seed::Insert`] stores
+//! externally supplied base tuples and opens one fixpoint over the whole
+//! program with the genuinely new ones. Both then run delta rounds over
+//! prepared join plans probing persistent indexes on the stored relations
+//! until nothing new appears, optionally filtering every derived tuple with
+//! a trust predicate.
 //!
 //! ## The interned join pipeline
 //!
 //! There is exactly one join implementation ([`join_literal_ids`]), and it
 //! runs entirely in **id currency** ([`ValueId`]s from the database's
 //! intern pool and [`TupleId`]s from the relations' slabs). The semi-naive
-//! fixpoint, insertion propagation, the naive oracle
+//! fixpoint (from either seed), the naive oracle
 //! ([`Evaluator::run_naive`]), ad-hoc single-rule evaluation
 //! ([`Evaluator::evaluate_rule`]) and the deletion delta rules
 //! ([`crate::delta::deletion_candidates`]) all go through it:
@@ -39,11 +42,11 @@
 //! a scratch relation a caller staged its tuples into (deletion frontiers
 //! need not be stored — or even interned — anywhere before the call).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use orchestra_storage::{
-    Database, HashIndex, Relation, RelationSchema, RowIter, Tuple, TupleId, Value, ValueId,
-    ValuePool,
+    Database, HashIndex, Relation, RelationSchema, RowIter, StorageError, Tuple, TupleId, Value,
+    ValueId, ValuePool,
 };
 
 use crate::compile::{CompiledHeadTerm, CompiledRule};
@@ -66,7 +69,35 @@ pub const DELTA_INDEX_MIN: usize = 16;
 /// rejects the tuple: it is neither stored nor used for further derivations.
 pub type DerivationFilter<'a> = dyn Fn(&str, &Tuple) -> bool + 'a;
 
+/// Where an [`Evaluator::fixpoint`] call starts the semi-naive fixpoint.
+#[derive(Debug, Clone, Copy)]
+pub enum Seed<'a> {
+    /// Evaluate every stratum from round 0 (full evaluation, paper §4.1.1).
+    All,
+    /// Store these base tuples (relation name → tuples; already-present
+    /// ones are skipped) and push the genuinely new ones through the delta
+    /// rounds (insertion propagation, paper §4.2).
+    Insert(&'a HashMap<String, Vec<Tuple>>),
+}
+
+/// What one [`Evaluator::fixpoint`] call did.
+#[derive(Debug, Clone, Default)]
+pub struct Fixpoint {
+    /// The statistics of this call alone (also added to the evaluator's).
+    pub stats: EvalStats,
+    /// Per relation, the ids of every tuple the call newly stored — seeded
+    /// base tuples included — in insertion order. They resolve through
+    /// [`Relation::tuple_by_id`] until a tuple is removed.
+    pub fresh: HashMap<String, Vec<TupleId>>,
+}
+
 /// The datalog evaluator. Accumulates [`EvalStats`] across calls.
+///
+/// [`Evaluator::fixpoint`] is the one semi-naive entry point, for full
+/// evaluation and insertion propagation alike; [`Evaluator::run_naive`]
+/// (the differential-testing oracle) and [`Evaluator::evaluate_rule`]
+/// (single-rule evaluation for queries and DRed re-derivation) stand beside
+/// it.
 ///
 /// Every fixpoint round runs on the caller's thread: one task per rule in
 /// round zero, one per (rule, delta occurrence) in later rounds. All tasks
@@ -104,80 +135,141 @@ impl Evaluator {
 
     /// [`Evaluator::prepare_relations`] over precomputed arities (the plan
     /// cache memoises them, so repeated exchanges skip the rule walk).
-    fn prepare_relations_from(
-        arities: &std::collections::BTreeMap<String, usize>,
-        db: &mut Database,
-    ) -> Result<()> {
+    fn prepare_relations_from(arities: &BTreeMap<String, usize>, db: &mut Database) -> Result<()> {
+        // Check every existing relation before creating any, so a conflict
+        // leaves the database untouched.
+        let mut missing = Vec::new();
         for (name, &arity) in arities {
-            if db.has_relation(name) {
-                let actual = db.relation(name)?.schema().arity();
-                if actual != arity {
-                    return Err(DatalogError::ArityConflict {
-                        relation: name.clone(),
-                        first: actual,
-                        second: arity,
-                    });
-                }
-            } else {
-                db.create_relation(RelationSchema::anonymous(name, arity))?;
+            if !db.has_relation(name) {
+                missing.push((name, arity));
+                continue;
             }
+            let actual = db.relation(name)?.schema().arity();
+            if actual != arity {
+                return Err(DatalogError::ArityConflict {
+                    relation: name.clone(),
+                    first: actual,
+                    second: arity,
+                });
+            }
+        }
+        for (name, arity) in missing {
+            db.create_relation(RelationSchema::anonymous(name, arity))?;
         }
         Ok(())
     }
 
-    /// Run the program to fixpoint, stratum by stratum, adding derived tuples
-    /// to the database. Returns the statistics for this run.
-    pub fn run(&mut self, program: &Program, db: &mut Database) -> Result<EvalStats> {
-        self.run_filtered(program, db, None)
-    }
-
-    /// Like [`Evaluator::run`], but every derived tuple is first offered to
+    /// Run the program's semi-naive fixpoint from `seed`, adding derived
+    /// tuples to the database: [`Seed::All`] evaluates every stratum from
+    /// round 0, [`Seed::Insert`] stores base tuples and propagates the
+    /// genuinely new ones. Every derived tuple is first offered to
     /// `filter`; rejected tuples are discarded.
-    pub fn run_filtered(
-        &mut self,
-        program: &Program,
-        db: &mut Database,
-        filter: Option<&DerivationFilter<'_>>,
-    ) -> Result<EvalStats> {
-        let mut cache = PlanCache::new();
-        self.run_filtered_cached(&mut cache, program, db, filter)
-    }
-
-    /// Like [`Evaluator::run_filtered`] with an external [`PlanCache`]: the
-    /// validated stratification and compiled join plans persist in `cache`
-    /// across calls (the CDSS layer keeps one cache per database and reuses
-    /// it for every exchange against the same mapping program).
-    pub fn run_filtered_cached(
+    ///
+    /// The validated stratification and compiled join plans persist in
+    /// `cache` across calls (the CDSS layer keeps one cache per database and
+    /// reuses it for every exchange against the same mapping program).
+    ///
+    /// Relations the program mentions are created empty if missing. An
+    /// insertion seed is checked whole before anything is stored — every
+    /// seeded relation exists or is declared by the program, every tuple
+    /// has its relation's arity, and no seeded relation occurs negated
+    /// (inserting into one can only retract earlier derivations, which is
+    /// deletion propagation's job) — so a rejected call leaves the database
+    /// untouched.
+    pub fn fixpoint(
         &mut self,
         cache: &mut PlanCache,
         program: &Program,
         db: &mut Database,
+        seed: Seed<'_>,
         filter: Option<&DerivationFilter<'_>>,
-    ) -> Result<EvalStats> {
-        let _span = orchestra_obs::span("eval", "datalog");
+    ) -> Result<Fixpoint> {
+        let (call_span, round_span) = match seed {
+            Seed::All => ("eval", "recompute-round"),
+            Seed::Insert(_) => ("fixpoint-insertions", "insert-round"),
+        };
+        let _span = orchestra_obs::span(call_span, "datalog");
         let prepared = cache.prepare(program)?;
-        Self::prepare_relations_from(&*cache.arities(program)?, db)?;
+        let arities = cache.arities(program)?;
+        if let Seed::Insert(base) = seed {
+            validate_seed(program, &arities, db, base)?;
+        }
+        Self::prepare_relations_from(&arities, db)?;
         cache.refresh(program, db);
         let pool_before = db.pool_stats();
         let plan_hits_before = cache.hits;
 
-        let mut total = EvalStats::new();
-        for stratum_rules in &prepared.strata.rule_strata {
-            if stratum_rules.is_empty() {
-                continue;
+        let mut stats = EvalStats::new();
+        let mut sc = EvalScratch::default();
+        let mut fresh: HashMap<&str, Vec<TupleId>> = HashMap::new();
+        let mut seeded: Delta<'_> = match seed {
+            Seed::All => Vec::new(),
+            Seed::Insert(base) => insert_seed(db, base, &mut stats)?,
+        };
+        // The scopes to saturate, in order: each non-empty stratum, opened
+        // by its round 0, or the whole program, opened by the fresh base
+        // ids. Each round is a span, so a trace timeline shows the fixpoint
+        // converging.
+        let scopes: Vec<Option<&[usize]>> = match seed {
+            Seed::All => prepared
+                .strata
+                .rule_strata
+                .iter()
+                .filter(|rules| !rules.is_empty())
+                .map(|rules| Some(rules.as_slice()))
+                .collect(),
+            Seed::Insert(_) => vec![None],
+        };
+        for scope in scopes {
+            let _stratum = scope.map(|_| orchestra_obs::span("stratum", "datalog"));
+            let mut delta = match scope {
+                // Round 0: every rule of the stratum against the full
+                // database (one task per rule); all rules see the same
+                // database and their outputs merge afterwards in rule order.
+                Some(rules) => {
+                    let _round = orchestra_obs::span(round_span, "datalog");
+                    let mut tasks = Vec::with_capacity(rules.len());
+                    for &ri in rules {
+                        let plan = cache.base(program, ri, db.pool_mut())?;
+                        prepare_rule_access(plan, db, None)?;
+                        tasks.push(RoundTask {
+                            ri,
+                            head: program.rules()[ri].head.relation.as_str(),
+                            delta: None,
+                        });
+                    }
+                    stats.iterations += 1;
+                    run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?
+                }
+                None => std::mem::take(&mut seeded),
+            };
+            // Delta rounds: only the scope's rule occurrences (stratum rule
+            // ids are ascending) that can consume something from the
+            // previous round's delta. Deltas are id sets into the stored
+            // relations — nothing is re-materialised between rounds.
+            while !delta.is_empty() {
+                for (head, ids) in &delta {
+                    fresh.entry(*head).or_default().extend_from_slice(ids);
+                }
+                let _round = orchestra_obs::span(round_span, "datalog");
+                let in_scope = |ri: usize| scope.is_none_or(|r| r.binary_search(&ri).is_ok());
+                let tasks = delta_round_tasks(cache, program, &prepared, db, &delta, in_scope)?;
+                delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
+                stats.iterations += 1;
             }
-            let _stratum = orchestra_obs::span("stratum", "datalog");
-            let s =
-                self.run_stratum_seminaive(cache, &prepared, stratum_rules, program, db, filter)?;
-            total += s;
         }
+
         let pool_after = db.pool_stats();
-        total.intern_hits += (pool_after.hits - pool_before.hits) as usize;
-        total.intern_misses += (pool_after.misses - pool_before.misses) as usize;
-        total.plan_cache_hits += (cache.hits - plan_hits_before) as usize;
-        self.stats += total;
-        total.record_to_registry();
-        Ok(total)
+        stats.intern_hits += (pool_after.hits - pool_before.hits) as usize;
+        stats.intern_misses += (pool_after.misses - pool_before.misses) as usize;
+        stats.plan_cache_hits += (cache.hits - plan_hits_before) as usize;
+        self.stats += stats;
+        stats.record_to_registry();
+        let fresh = fresh
+            .into_iter()
+            .map(|(name, ids)| (name.to_string(), ids))
+            .collect();
+        Ok(Fixpoint { stats, fresh })
     }
 
     /// Naive (non-semi-naive) evaluation: repeatedly apply every rule of each
@@ -225,164 +317,6 @@ impl Evaluator {
         Ok(total)
     }
 
-    fn run_stratum_seminaive(
-        &mut self,
-        cache: &mut PlanCache,
-        prepared: &PreparedProgram,
-        stratum_rules: &[usize],
-        program: &Program,
-        db: &mut Database,
-        filter: Option<&DerivationFilter<'_>>,
-    ) -> Result<EvalStats> {
-        let mut stats = EvalStats::new();
-        let mut sc = EvalScratch::default();
-
-        // Round 0: evaluate every rule of the stratum against the full
-        // database (one task per rule); the newly inserted tuple ids seed
-        // the delta. All rules of a round see the same database and their
-        // outputs merge afterwards in rule order. Each round is a span, so
-        // a trace timeline shows the fixpoint converging.
-        let round0 = orchestra_obs::span("recompute-round", "datalog");
-        let mut tasks: Vec<RoundTask<'_, '_>> = Vec::with_capacity(stratum_rules.len());
-        for &ri in stratum_rules {
-            let plan = cache.base(program, ri, db.pool_mut())?;
-            prepare_rule_access(plan, db, None)?;
-            let head = program.rules()[ri].head.relation.as_str();
-            tasks.push(RoundTask {
-                ri,
-                head,
-                delta: None,
-            });
-        }
-        let mut delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
-        stats.iterations += 1;
-        drop(round0);
-
-        // Subsequent rounds: only evaluate this stratum's rule occurrences
-        // (its rule ids are ascending) that can consume something from the
-        // previous round's delta. Deltas are id sets into the stored
-        // relations — nothing is re-materialised between rounds.
-        while !delta.is_empty() {
-            let _round = orchestra_obs::span("recompute-round", "datalog");
-            let tasks = delta_round_tasks(cache, program, prepared, db, &delta, |ri| {
-                stratum_rules.binary_search(&ri).is_ok()
-            })?;
-            delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
-            stats.iterations += 1;
-        }
-
-        Ok(stats)
-    }
-
-    /// Incremental insertion propagation (paper §4.2).
-    ///
-    /// `base_deltas` maps relation names to freshly inserted tuples (they are
-    /// inserted into the database by this call if not already present). The
-    /// deltas are then pushed through the program's insertion delta rules
-    /// until fixpoint. Returns, per relation, every tuple that is newly
-    /// present after propagation (including the surviving base insertions).
-    ///
-    /// Relations that occur *negated* in the program must not receive base
-    /// deltas: inserting into a negated relation can only retract previous
-    /// derivations, which is deletion propagation's job (handled by the CDSS
-    /// layer), so such a call is rejected.
-    pub fn propagate_insertions(
-        &mut self,
-        program: &Program,
-        db: &mut Database,
-        base_deltas: &HashMap<String, Vec<Tuple>>,
-        filter: Option<&DerivationFilter<'_>>,
-    ) -> Result<HashMap<String, Vec<Tuple>>> {
-        let mut cache = PlanCache::new();
-        self.propagate_insertions_cached(&mut cache, program, db, base_deltas, filter)
-    }
-
-    /// Like [`Evaluator::propagate_insertions`] with an external
-    /// [`PlanCache`] (see [`Evaluator::run_filtered_cached`]).
-    pub fn propagate_insertions_cached(
-        &mut self,
-        cache: &mut PlanCache,
-        program: &Program,
-        db: &mut Database,
-        base_deltas: &HashMap<String, Vec<Tuple>>,
-        filter: Option<&DerivationFilter<'_>>,
-    ) -> Result<HashMap<String, Vec<Tuple>>> {
-        let prepared = cache.prepare(program)?;
-        Self::prepare_relations_from(&*cache.arities(program)?, db)?;
-        cache.refresh(program, db);
-        let pool_before = db.pool_stats();
-        let plan_hits_before = cache.hits;
-
-        // Reject deltas on negated relations.
-        for rule in program.rules() {
-            for lit in &rule.body {
-                if lit.negated && base_deltas.contains_key(lit.relation()) {
-                    return Err(DatalogError::UnsafeRule {
-                        rule: rule.to_string(),
-                        variable: format!(
-                            "insertion delta supplied for negated relation {}",
-                            lit.relation()
-                        ),
-                    });
-                }
-            }
-        }
-
-        let mut stats = EvalStats::new();
-        let mut sc = EvalScratch::default();
-        let mut all_new: HashMap<&str, Vec<TupleId>> = HashMap::new();
-
-        // Apply the base deltas, keeping only genuinely new tuples (as ids).
-        let mut delta: Delta<'_> = Vec::new();
-        for (rel, tuples) in base_deltas {
-            if !db.has_relation(rel) {
-                return Err(DatalogError::MissingRelation(rel.clone()));
-            }
-            let mut fresh_ids = Vec::new();
-            for t in tuples {
-                let (tid, fresh) = db.insert_full(rel, t.clone())?;
-                if fresh {
-                    stats.tuples_inserted += 1;
-                    fresh_ids.push(tid);
-                }
-            }
-            if !fresh_ids.is_empty() {
-                all_new.insert(rel, fresh_ids.clone());
-                delta.push((rel, fresh_ids));
-            }
-        }
-
-        // Push deltas through the rules until fixpoint. Each round is a
-        // span, so a trace timeline shows the fixpoint converging.
-        let _fixpoint = orchestra_obs::span("fixpoint-insertions", "datalog");
-        while !delta.is_empty() {
-            let _round = orchestra_obs::span("insert-round", "datalog");
-            let tasks = delta_round_tasks(cache, program, &prepared, db, &delta, |_| true)?;
-            delta = run_round(cache, db, &tasks, filter, &mut stats, &mut sc)?;
-            for (head, fresh) in &delta {
-                all_new.entry(*head).or_default().extend_from_slice(fresh);
-            }
-            stats.iterations += 1;
-        }
-
-        let pool_after = db.pool_stats();
-        stats.intern_hits += (pool_after.hits - pool_before.hits) as usize;
-        stats.intern_misses += (pool_after.misses - pool_before.misses) as usize;
-        stats.plan_cache_hits += (cache.hits - plan_hits_before) as usize;
-        self.stats += stats;
-        stats.record_to_registry();
-
-        // Materialise the new-tuple ids into tuples (cheap `Arc` clones of
-        // the stored rows) for the public API.
-        let mut out: HashMap<String, Vec<Tuple>> = HashMap::with_capacity(all_new.len());
-        for (name, ids) in all_new {
-            let rel = db.relation(name)?;
-            let tuples = ids.iter().map(|&id| rel.tuple_by_id(id).clone()).collect();
-            out.insert(name.to_string(), tuples);
-        }
-        Ok(out)
-    }
-
     /// Evaluate a single rule against the database (without inserting its
     /// results): every head instantiation over the current contents, in
     /// join order, duplicates included. This is the building block the CDSS
@@ -398,6 +332,72 @@ impl Evaluator {
         self.stats += stats;
         Ok(out)
     }
+}
+
+/// Reject an insertion seed before anything is stored: every seeded
+/// relation must exist or be declared by the program (`arities`), every
+/// tuple must have its relation's arity, and no seeded relation may occur
+/// negated in the program.
+fn validate_seed(
+    program: &Program,
+    arities: &BTreeMap<String, usize>,
+    db: &Database,
+    base: &HashMap<String, Vec<Tuple>>,
+) -> Result<()> {
+    for (rel, tuples) in base {
+        let arity = match db.relation(rel) {
+            Ok(stored) => stored.schema().arity(),
+            Err(_) => *arities
+                .get(rel)
+                .ok_or_else(|| DatalogError::MissingRelation(rel.clone()))?,
+        };
+        if let Some(t) = tuples.iter().find(|t| t.arity() != arity) {
+            return Err(StorageError::ArityMismatch {
+                relation: rel.clone(),
+                expected: arity,
+                actual: t.arity(),
+            }
+            .into());
+        }
+    }
+    for rule in program.rules() {
+        for lit in &rule.body {
+            if lit.negated && base.contains_key(lit.relation()) {
+                return Err(DatalogError::UnsafeRule {
+                    rule: rule.to_string(),
+                    variable: format!(
+                        "insertion delta supplied for negated relation {}",
+                        lit.relation()
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Store a validated insertion seed and return the genuinely new tuple ids
+/// per relation: the delta that opens the fixpoint.
+fn insert_seed<'s>(
+    db: &mut Database,
+    base: &'s HashMap<String, Vec<Tuple>>,
+    stats: &mut EvalStats,
+) -> Result<Delta<'s>> {
+    let mut delta = Vec::new();
+    for (rel, tuples) in base {
+        let mut fresh_ids = Vec::new();
+        for t in tuples {
+            let (tid, fresh) = db.insert_full(rel, t.clone())?;
+            if fresh {
+                stats.tuples_inserted += 1;
+                fresh_ids.push(tid);
+            }
+        }
+        if !fresh_ids.is_empty() {
+            delta.push((rel.as_str(), fresh_ids));
+        }
+    }
+    Ok(delta)
 }
 
 /// Compile `rule` against the database's current cardinalities and evaluate
@@ -1049,7 +1049,16 @@ mod tests {
     fn transitive_closure() {
         let mut db = edge_db(&[(1, 2), (2, 3), (3, 4)]);
         let mut eval = Evaluator::new();
-        let stats = eval.run(&tc_program(), &mut db).unwrap();
+        let stats = eval
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut db,
+                Seed::All,
+                None,
+            )
+            .unwrap()
+            .stats;
         let path = db.relation("path").unwrap();
         assert_eq!(path.len(), 6);
         assert!(path.contains(&int_tuple(&[1, 4])));
@@ -1061,7 +1070,15 @@ mod tests {
     fn naive_and_seminaive_agree_on_cycles() {
         let mut db1 = edge_db(&[(1, 2), (2, 3), (3, 1)]);
         let mut db2 = db1.snapshot();
-        Evaluator::new().run(&tc_program(), &mut db1).unwrap();
+        Evaluator::new()
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut db1,
+                Seed::All,
+                None,
+            )
+            .unwrap();
         Evaluator::new().run_naive(&tc_program(), &mut db2).unwrap();
         assert_eq!(
             db1.relation("path").unwrap().sorted_tuples(),
@@ -1092,7 +1109,8 @@ mod tests {
         db.insert("hidden", int_tuple(&[4])).unwrap();
 
         let mut eval = Evaluator::new();
-        eval.run(&program, &mut db).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+            .unwrap();
         let visible = db.relation("visible").unwrap();
         assert_eq!(visible.len(), 3);
         assert!(!visible.contains(&int_tuple(&[2])));
@@ -1119,7 +1137,8 @@ mod tests {
         db.insert("b", int_tuple(&[3, 2])).unwrap();
 
         let mut eval = Evaluator::new();
-        eval.run(&program, &mut db).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+            .unwrap();
         let u = db.relation("u").unwrap();
         // Both (3,5) and (4,5) produce the same placeholder f0(5): set
         // semantics collapses them, so u has exactly 2 tuples.
@@ -1147,7 +1166,16 @@ mod tests {
         let filter =
             |rel: &str, t: &Tuple| -> bool { !(rel == "b" && t[0].as_int().unwrap_or(0) > 1) };
         let mut eval = Evaluator::new();
-        let stats = eval.run_filtered(&program, &mut db, Some(&filter)).unwrap();
+        let stats = eval
+            .fixpoint(
+                &mut PlanCache::new(),
+                &program,
+                &mut db,
+                Seed::All,
+                Some(&filter),
+            )
+            .unwrap()
+            .stats;
         assert_eq!(db.relation("b").unwrap().len(), 1);
         assert_eq!(db.relation("c").unwrap().len(), 1);
         assert_eq!(stats.filtered_out, 1);
@@ -1157,26 +1185,50 @@ mod tests {
     fn incremental_insertions_match_full_recomputation() {
         // Full computation over all edges at once...
         let mut full = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
-        Evaluator::new().run(&tc_program(), &mut full).unwrap();
+        Evaluator::new()
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut full,
+                Seed::All,
+                None,
+            )
+            .unwrap();
 
         // ...must equal base computation plus incremental propagation.
         let mut incr = edge_db(&[(1, 2), (2, 3)]);
         let mut eval = Evaluator::new();
-        eval.run(&tc_program(), &mut incr).unwrap();
+        eval.fixpoint(
+            &mut PlanCache::new(),
+            &tc_program(),
+            &mut incr,
+            Seed::All,
+            None,
+        )
+        .unwrap();
         let mut deltas = HashMap::new();
         deltas.insert(
             "edge".to_string(),
             vec![int_tuple(&[3, 4]), int_tuple(&[4, 5])],
         );
         let new = eval
-            .propagate_insertions(&tc_program(), &mut incr, &deltas, None)
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut incr,
+                Seed::Insert(&deltas),
+                None,
+            )
             .unwrap();
         assert_eq!(
             full.relation("path").unwrap().sorted_tuples(),
             incr.relation("path").unwrap().sorted_tuples()
         );
-        assert!(new.contains_key("path"));
-        assert!(new["path"].contains(&int_tuple(&[1, 5])));
+        let path = incr.relation("path").unwrap();
+        assert!(new.fresh.contains_key("path"));
+        assert!(new.fresh["path"]
+            .iter()
+            .any(|&id| path.tuple_by_id(id) == &int_tuple(&[1, 5])));
     }
 
     #[test]
@@ -1191,9 +1243,17 @@ mod tests {
         let mut cached_eval = Evaluator::new();
         let mut fresh_eval = Evaluator::new();
         cached_eval
-            .run_filtered_cached(&mut cache, &program, &mut cached_db, None)
+            .fixpoint(&mut cache, &program, &mut cached_db, Seed::All, None)
             .unwrap();
-        fresh_eval.run(&program, &mut fresh_db).unwrap();
+        fresh_eval
+            .fixpoint(
+                &mut PlanCache::new(),
+                &program,
+                &mut fresh_db,
+                Seed::All,
+                None,
+            )
+            .unwrap();
         for step in 0..4i64 {
             let mut deltas = HashMap::new();
             deltas.insert(
@@ -1201,10 +1261,22 @@ mod tests {
                 vec![int_tuple(&[3 + step, 4 + step]), int_tuple(&[step, 7])],
             );
             cached_eval
-                .propagate_insertions_cached(&mut cache, &program, &mut cached_db, &deltas, None)
+                .fixpoint(
+                    &mut cache,
+                    &program,
+                    &mut cached_db,
+                    Seed::Insert(&deltas),
+                    None,
+                )
                 .unwrap();
             fresh_eval
-                .propagate_insertions(&program, &mut fresh_db, &deltas, None)
+                .fixpoint(
+                    &mut PlanCache::new(),
+                    &program,
+                    &mut fresh_db,
+                    Seed::Insert(&deltas),
+                    None,
+                )
                 .unwrap();
         }
         assert_eq!(
@@ -1234,8 +1306,90 @@ mod tests {
         let mut deltas = HashMap::new();
         deltas.insert("rej".to_string(), vec![int_tuple(&[1])]);
         assert!(eval
-            .propagate_insertions(&program, &mut db, &deltas, None)
+            .fixpoint(
+                &mut PlanCache::new(),
+                &program,
+                &mut db,
+                Seed::Insert(&deltas),
+                None
+            )
             .is_err());
+    }
+
+    #[test]
+    fn rejected_seed_leaves_the_database_untouched() {
+        // out(x) :- inp(x), not rej(x). `out` is not stored yet, so relation
+        // preparation would create it; `pair` is stored but not in the
+        // program.
+        let program = Program::from_rules(vec![Rule::new(
+            atom("out", &["x"]),
+            vec![
+                Literal::positive(atom("inp", &["x"])),
+                Literal::negative(atom("rej", &["x"])),
+            ],
+        )]);
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("inp", &["x"]))
+            .unwrap();
+        db.create_relation(RelationSchema::new("rej", &["x"]))
+            .unwrap();
+        db.create_relation(RelationSchema::new("pair", &["a", "b"]))
+            .unwrap();
+        db.insert("inp", int_tuple(&[1])).unwrap();
+        let canonical = |db: &Database| {
+            let mut w = orchestra_persist::codec::Writer::new();
+            orchestra_persist::codec::Encode::encode(db, &mut w);
+            w.into_bytes()
+        };
+        let (bytes, names) = (canonical(&db), db.relation_names());
+
+        // Every seed carries valid tuples for other relations too (and, for
+        // the arity case, a valid tuple ahead of the bad one), so a partial
+        // insertion would show in the bytes.
+        let valid = |rel: &str, t: &[i64]| (rel.to_string(), vec![int_tuple(t)]);
+        type Expect = fn(&DatalogError) -> bool;
+        let seeds: [(HashMap<String, Vec<Tuple>>, Expect); 3] = [
+            (
+                [
+                    valid("inp", &[2]),
+                    valid("pair", &[3, 4]),
+                    valid("nowhere", &[5]),
+                ]
+                .into(),
+                |e| matches!(e, DatalogError::MissingRelation(r) if r == "nowhere"),
+            ),
+            (
+                [
+                    valid("pair", &[3, 4]),
+                    ("inp".to_string(), vec![int_tuple(&[2]), int_tuple(&[6, 7])]),
+                ]
+                .into(),
+                |e| matches!(e, DatalogError::Storage(StorageError::ArityMismatch { .. })),
+            ),
+            (
+                [
+                    valid("inp", &[2]),
+                    valid("pair", &[3, 4]),
+                    valid("rej", &[1]),
+                ]
+                .into(),
+                |e| matches!(e, DatalogError::UnsafeRule { .. }),
+            ),
+        ];
+        for (seed, expected) in &seeds {
+            let err = Evaluator::new()
+                .fixpoint(
+                    &mut PlanCache::new(),
+                    &program,
+                    &mut db,
+                    Seed::Insert(seed),
+                    None,
+                )
+                .unwrap_err();
+            assert!(expected(&err), "unexpected error {err:?}");
+            assert_eq!(canonical(&db), bytes, "{err:?} changed the contents");
+            assert_eq!(db.relation_names(), names, "{err:?} changed the relations");
+        }
     }
 
     #[test]
@@ -1264,7 +1418,8 @@ mod tests {
         let program = tc_program();
         let mut db = Database::new();
         let mut eval = Evaluator::new();
-        eval.run(&program, &mut db).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+            .unwrap();
         assert!(db.has_relation("edge"));
         assert!(db.has_relation("path"));
         assert_eq!(db.total_tuples(), 0);
@@ -1278,7 +1433,8 @@ mod tests {
             .unwrap();
         let mut eval = Evaluator::new();
         assert!(matches!(
-            eval.run(&program, &mut db).unwrap_err(),
+            eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+                .unwrap_err(),
             DatalogError::ArityConflict { .. }
         ));
     }
@@ -1294,7 +1450,9 @@ mod tests {
             )],
         )]);
         let mut db = edge_db(&[(1, 2), (2, 3), (2, 4)]);
-        Evaluator::new().run(&program, &mut db).unwrap();
+        Evaluator::new()
+            .fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+            .unwrap();
         assert_eq!(db.relation("two").unwrap().len(), 2);
     }
 
@@ -1308,7 +1466,10 @@ mod tests {
             vec![atom("edge", &["x", "y"])],
         )]);
         let mut db = edge_db(&[(1, 2), (1, 3), (1, 4), (2, 9)]);
-        let stats = Evaluator::new().run(&program, &mut db).unwrap();
+        let stats = Evaluator::new()
+            .fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None)
+            .unwrap()
+            .stats;
         let mark = db.relation("mark").unwrap();
         assert_eq!(mark.len(), 2);
         assert!(mark.contains(&int_tuple(&[1, 7])));
@@ -1321,7 +1482,14 @@ mod tests {
     fn stats_accumulate_and_reset() {
         let mut db = edge_db(&[(1, 2)]);
         let mut eval = Evaluator::new();
-        eval.run(&tc_program(), &mut db).unwrap();
+        eval.fixpoint(
+            &mut PlanCache::new(),
+            &tc_program(),
+            &mut db,
+            Seed::All,
+            None,
+        )
+        .unwrap();
         assert!(eval.stats().rule_applications > 0);
         let taken = eval.take_stats();
         assert!(taken.rule_applications > 0);

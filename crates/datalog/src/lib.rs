@@ -9,15 +9,19 @@
 //! * negation is allowed in rule bodies when it is *safe* (every variable of
 //!   a negated atom also occurs in a positive atom of the same body) and the
 //!   program is *stratified*;
-//! * evaluation runs to fixpoint per stratum, either naively or with
-//!   semi-naive delta rules (paper §4.2);
+//! * evaluation runs to fixpoint per stratum, either naively (the test
+//!   oracle) or semi-naively, feeding each round only the previous round's
+//!   new tuples (paper §4.2);
 //! * one execution engine: prepared, cost-ordered per-rule join plans over
 //!   persistent indexes, joined in interned-id currency (the shape of the
 //!   paper's Tukwila implementation, §5.2 — the DB2-style backend of §5.1
 //!   converged onto it and was removed);
-//! * incremental *insertion* propagation applies externally supplied deltas
-//!   through the delta-rule program, with an optional per-tuple filter hook
-//!   used by the CDSS layer to enforce trust conditions during derivation;
+//! * one semi-naive entry point, [`Evaluator::fixpoint`]: seeded with
+//!   [`Seed::All`] it evaluates the program from scratch, seeded with
+//!   [`Seed::Insert`] it stores externally supplied base tuples and
+//!   propagates only their consequences (incremental *insertion*), with an
+//!   optional per-tuple filter hook used by the CDSS layer to enforce trust
+//!   conditions during derivation;
 //! * incremental *deletion* support computes, for each rule, the derived
 //!   tuples whose instantiations involve deleted tuples — the building block
 //!   of the paper's `PropagateDelete` algorithm (Figure 3) and of DRed.
@@ -32,7 +36,7 @@
 //! contributions, rejections).
 //!
 //! ```
-//! use orchestra_datalog::{parse_program, Evaluator};
+//! use orchestra_datalog::{parse_program, Evaluator, PlanCache, Seed};
 //! use orchestra_storage::{Database, RelationSchema, Tuple, Value};
 //!
 //! // Transitive closure.
@@ -48,8 +52,17 @@
 //! db.insert("edge", Tuple::new(vec![Value::int(2), Value::int(3)])).unwrap();
 //!
 //! let mut eval = Evaluator::new();
-//! eval.run(&program, &mut db).unwrap();
+//! let mut cache = PlanCache::new();
+//! eval.fixpoint(&mut cache, &program, &mut db, Seed::All, None).unwrap();
 //! assert_eq!(db.relation("path").unwrap().len(), 3);
+//!
+//! // Insert edge (3, 4) and propagate only its consequences.
+//! let edge = Tuple::new(vec![Value::int(3), Value::int(4)]);
+//! let deltas = [("edge".to_string(), vec![edge])].into();
+//! let done = eval
+//!     .fixpoint(&mut cache, &program, &mut db, Seed::Insert(&deltas), None)
+//!     .unwrap();
+//! assert_eq!(done.fresh["path"].len(), 3); // (1,4), (2,4), (3,4)
 //! ```
 
 #![warn(missing_docs)]
@@ -70,7 +83,7 @@ pub mod term;
 
 pub use atom::{Atom, Literal};
 pub use error::DatalogError;
-pub use eval::{DerivationFilter, Evaluator};
+pub use eval::{DerivationFilter, Evaluator, Fixpoint, Seed};
 pub use parser::{
     line_col, parse_atom, parse_program, parse_program_spanned, parse_rule, SourceSpan,
 };

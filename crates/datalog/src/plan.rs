@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn invalidate_plans_drops_stale_plans_after_compaction() {
-        use crate::eval::Evaluator;
+        use crate::eval::{Evaluator, Seed};
         use orchestra_storage::Value;
 
         // A rule with a body *constant* makes the compiled plan intern a
@@ -550,7 +550,7 @@ mod tests {
         let mut cache = PlanCache::new();
         let mut eval = Evaluator::new();
         let hop = |db: &Database| db.relation("hop").unwrap().sorted_tuples();
-        eval.run_filtered_cached(&mut cache, &program, &mut db, None)
+        eval.fixpoint(&mut cache, &program, &mut db, Seed::All, None)
             .unwrap();
         assert_eq!(hop(&db), vec![int_tuple(&[10, 20])]);
         assert!(
@@ -576,11 +576,13 @@ mod tests {
         // invalidation (not a band shift) forces the recompile.
         db.insert("edge", int_tuple(&[10, 40])).unwrap();
         db.insert("mark", int_tuple(&[40, 1])).unwrap();
-        eval.run_filtered_cached(&mut cache, &program, &mut db, None)
+        eval.fixpoint(&mut cache, &program, &mut db, Seed::All, None)
             .unwrap();
         let mut fresh = db.clone();
         fresh.relation_mut("hop").unwrap().clear();
-        Evaluator::new().run(&program, &mut fresh).unwrap();
+        Evaluator::new()
+            .fixpoint(&mut PlanCache::new(), &program, &mut fresh, Seed::All, None)
+            .unwrap();
         assert_eq!(hop(&db), vec![int_tuple(&[10, 20]), int_tuple(&[10, 40])]);
         assert_eq!(
             hop(&db),

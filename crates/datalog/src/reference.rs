@@ -187,7 +187,8 @@ pub fn propagate_insertions_reference(
 mod tests {
     use super::*;
     use crate::atom::Atom;
-    use crate::eval::Evaluator;
+    use crate::eval::{Evaluator, Seed};
+    use crate::plan::PlanCache;
     use orchestra_storage::tuple::int_tuple;
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
@@ -218,7 +219,15 @@ mod tests {
     fn reference_matches_optimized_on_transitive_closure() {
         let mut opt = edge_db(&[(1, 2), (2, 3), (3, 1), (3, 4)]);
         let mut oracle = opt.snapshot();
-        Evaluator::new().run(&tc_program(), &mut opt).unwrap();
+        Evaluator::new()
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut opt,
+                Seed::All,
+                None,
+            )
+            .unwrap();
         run_reference(&tc_program(), &mut oracle).unwrap();
         assert_eq!(
             opt.relation("path").unwrap().sorted_tuples(),
@@ -260,13 +269,26 @@ mod tests {
         let mut opt = edge_db(&[(1, 2), (2, 3)]);
         let mut oracle = opt.snapshot();
         let mut eval = Evaluator::new();
-        eval.run(&tc_program(), &mut opt).unwrap();
+        eval.fixpoint(
+            &mut PlanCache::new(),
+            &tc_program(),
+            &mut opt,
+            Seed::All,
+            None,
+        )
+        .unwrap();
         run_reference(&tc_program(), &mut oracle).unwrap();
 
         let mut deltas = HashMap::new();
         deltas.insert("edge".to_string(), vec![int_tuple(&[3, 4])]);
         let new_opt = eval
-            .propagate_insertions(&tc_program(), &mut opt, &deltas, None)
+            .fixpoint(
+                &mut PlanCache::new(),
+                &tc_program(),
+                &mut opt,
+                Seed::Insert(&deltas),
+                None,
+            )
             .unwrap();
         let new_ref = propagate_insertions_reference(&tc_program(), &mut oracle, &deltas).unwrap();
 
@@ -277,7 +299,13 @@ mod tests {
         );
         // Same reported novelty.
         let mut opt_sorted: BTreeMap<String, Vec<Tuple>> = new_opt
+            .fresh
             .into_iter()
+            .map(|(rel, ids)| {
+                let stored = opt.relation(&rel).unwrap();
+                let tuples = ids.iter().map(|&id| stored.tuple_by_id(id).clone());
+                (rel, tuples.collect::<Vec<_>>())
+            })
             .filter(|(_, ts)| !ts.is_empty())
             .collect();
         for ts in opt_sorted.values_mut() {

@@ -232,7 +232,15 @@ mod tests {
     fn exposition_keeps_the_retired_demand_series_after_an_evaluation() {
         let program = crate::parse_program("q(x) :- p(x).").unwrap();
         let mut db = orchestra_storage::Database::new();
-        crate::Evaluator::new().run(&program, &mut db).unwrap();
+        crate::Evaluator::new()
+            .fixpoint(
+                &mut crate::PlanCache::new(),
+                &program,
+                &mut db,
+                crate::Seed::All,
+                None,
+            )
+            .unwrap();
         let text = orchestra_obs::global().render();
         for series in [
             "eval_demand_seed_facts_total",

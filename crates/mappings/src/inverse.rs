@@ -146,7 +146,7 @@ mod tests {
     use super::*;
     use crate::compile::ProvenanceEncoding;
     use crate::tgd::example2_mappings;
-    use orchestra_datalog::Evaluator;
+    use orchestra_datalog::{Evaluator, PlanCache, Seed};
     use orchestra_storage::{tuple::int_tuple, Database, RelationSchema};
 
     fn example_system() -> MappingSystem {
@@ -188,7 +188,14 @@ mod tests {
 
         // Run the forward update-exchange program.
         let mut eval = Evaluator::new();
-        eval.run(&system.program, &mut db).unwrap();
+        eval.fixpoint(
+            &mut PlanCache::new(),
+            &system.program,
+            &mut db,
+            Seed::All,
+            None,
+        )
+        .unwrap();
         assert!(db.relation("B_o").unwrap().contains(&int_tuple(&[3, 2])));
 
         // Check the derivation of B_o(3, 2).
@@ -197,7 +204,8 @@ mod tests {
         db.insert("B_o__chk", int_tuple(&[3, 2])).unwrap();
 
         let support = support_program(&system);
-        eval.run(&support, &mut db).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &support, &mut db, Seed::All, None)
+            .unwrap();
 
         // G_l's tuple (3,5,2) supports it via m1; (1,2,3) does not.
         let g_chk = db.relation("G_l__chk").unwrap();

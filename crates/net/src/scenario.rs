@@ -28,28 +28,3 @@ pub fn example_scenario() -> Cdss {
         .build()
         .expect("the example scenario is well-formed")
 }
-
-/// The relations a client can edit in the [`example_scenario`], as
-/// `(peer, relation, arity)` triples — the targets the concurrent-publish
-/// tests (`tests/net_concurrent.rs`) publish against.
-pub fn example_targets() -> Vec<(String, String, usize)> {
-    vec![
-        ("PGUS".into(), "G".into(), 3),
-        ("PBioSQL".into(), "B".into(), 2),
-        ("PuBio".into(), "U".into(), 2),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scenario_builds_and_targets_match() {
-        let cdss = example_scenario();
-        for (peer, relation, arity) in example_targets() {
-            let p = cdss.peer(&peer).unwrap();
-            assert_eq!(p.relation(&relation).unwrap().arity(), arity);
-        }
-    }
-}

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use orchestra_analyze::{Analyzer, Code};
 use orchestra_core::{Cdss, CdssBuilder, CdssError, Tgd};
-use orchestra_datalog::{parse_program, parse_program_spanned, Evaluator};
+use orchestra_datalog::{parse_program, parse_program_spanned, Evaluator, PlanCache, Seed};
 use orchestra_net::scenario::example_scenario;
 use orchestra_net::{serve, NetClient, NetError};
 use orchestra_storage::tuple::int_tuple;
@@ -222,8 +222,7 @@ proptest! {
             db.insert("R0", int_tuple(&[*a, *b])).unwrap();
         }
         let stats = Evaluator::new()
-            .run(&program, &mut db)
-            .unwrap();
+            .fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None).unwrap().stats;
         // 6 distinct values bound the closure's path length; everything
         // else is non-recursive. A runaway chase would blow far past this.
         prop_assert!(

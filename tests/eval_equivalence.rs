@@ -32,7 +32,7 @@ use orchestra_datalog::program::Program;
 use orchestra_datalog::reference::{propagate_insertions_reference, rule_answers, run_reference};
 use orchestra_datalog::rule::Rule;
 use orchestra_datalog::term::Term;
-use orchestra_datalog::Evaluator;
+use orchestra_datalog::{Evaluator, PlanCache, Seed};
 use orchestra_persist::codec::{Encode, Writer};
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::{Database, RelationSchema, SkolemFnId, Tuple};
@@ -300,9 +300,9 @@ proptest! {
         let mut db = fresh_db();
         load_facts(&mut db, &base);
         let mut eval = Evaluator::new();
-        eval.run(&program, &mut db).unwrap();
-        let new1 = eval.propagate_insertions(&program, &mut db, &batch_map(&batch1), None).unwrap();
-        let new2 = eval.propagate_insertions(&program, &mut db, &batch_map(&batch2), None).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::All, None).unwrap();
+        let new1 = eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::Insert(&batch_map(&batch1)), None).unwrap();
+        let new2 = eval.fixpoint(&mut PlanCache::new(), &program, &mut db, Seed::Insert(&batch_map(&batch2)), None).unwrap();
 
         // Identical final instances, literally byte-for-byte.
         prop_assert_eq!(
@@ -319,9 +319,9 @@ proptest! {
         load_facts(&mut cached_db, &base);
         let mut cache = orchestra_datalog::PlanCache::new();
         let mut cached_eval = Evaluator::new();
-        cached_eval.run_filtered_cached(&mut cache, &program, &mut cached_db, None).unwrap();
+        cached_eval.fixpoint(&mut cache, &program, &mut cached_db, Seed::All, None).unwrap();
         cached_eval
-            .propagate_insertions_cached(&mut cache, &program, &mut cached_db, &batch_map(&batch1), None)
+            .fixpoint(&mut cache, &program, &mut cached_db, Seed::Insert(&batch_map(&batch1)), None)
             .unwrap();
         // Compact the pool mid-stream (the long-running-server regime):
         // rows are re-stamped with new dense ids and the compiled plans
@@ -331,7 +331,7 @@ proptest! {
         cached_db.compact_pool();
         cache.invalidate_plans();
         cached_eval
-            .propagate_insertions_cached(&mut cache, &program, &mut cached_db, &batch_map(&batch2), None)
+            .fixpoint(&mut cache, &program, &mut cached_db, Seed::Insert(&batch_map(&batch2)), None)
             .unwrap();
         prop_assert_eq!(
             &canonical_bytes(&cached_db),
@@ -343,7 +343,13 @@ proptest! {
         // Identical reported novelty per propagation.
         for (optimized, reference) in [(new1, ref_new1.clone()), (new2, ref_new2.clone())] {
             let mut optimized: BTreeMap<String, Vec<Tuple>> = optimized
+                .fresh
                 .into_iter()
+                .map(|(rel, ids)| {
+                    let stored = db.relation(&rel).unwrap();
+                    let tuples = ids.iter().map(|&id| stored.tuple_by_id(id).clone());
+                    (rel, tuples.collect::<Vec<_>>())
+                })
                 .filter(|(_, ts)| !ts.is_empty())
                 .collect();
             for ts in optimized.values_mut() {

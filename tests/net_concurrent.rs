@@ -5,11 +5,33 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use orchestra_net::scenario::{example_scenario, example_targets};
+use orchestra_net::scenario::example_scenario;
 use orchestra_net::{serve, EditBatch, NetClient};
 use orchestra_persist::codec::Encode;
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::Tuple;
+
+/// The relations a client can edit in the example scenario, as
+/// `(peer, relation, arity)` triples — the targets the concurrent-publish
+/// tests publish against.
+fn example_targets() -> Vec<(String, String, usize)> {
+    vec![
+        ("PGUS".into(), "G".into(), 3),
+        ("PBioSQL".into(), "B".into(), 2),
+        ("PuBio".into(), "U".into(), 2),
+    ]
+}
+
+/// The example scenario builds, and its peers declare exactly the
+/// relations and arities [`example_targets`] publishes against.
+#[test]
+fn scenario_builds_and_targets_match() {
+    let cdss = example_scenario();
+    for (peer, relation, arity) in example_targets() {
+        let p = cdss.peer(&peer).unwrap();
+        assert_eq!(p.relation(&relation).unwrap().arity(), arity);
+    }
+}
 
 /// The tuple a given `(client, batch, op)` coordinate publishes.
 fn coord_tuple(client: usize, batch: usize, op: usize, arity: usize) -> Tuple {

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use orchestra_core::{Cdss, CdssBuilder};
 use orchestra_datalog::reference::run_reference;
-use orchestra_datalog::{parse_program, Evaluator, PlanCache, Program};
+use orchestra_datalog::{parse_program, Evaluator, PlanCache, Program, Seed};
 use orchestra_persist::codec::{Encode, Writer};
 use orchestra_storage::tuple::int_tuple;
 use orchestra_storage::{Database, RelationSchema, Tuple};
@@ -105,10 +105,10 @@ fn run_stream() -> Vec<u8> {
     let mut db = closure_db(48, 40);
     let mut cache = PlanCache::new();
     let mut eval = Evaluator::new();
-    eval.run_filtered_cached(&mut cache, &program, &mut db, None)
+    eval.fixpoint(&mut cache, &program, &mut db, Seed::All, None)
         .unwrap();
     for batch in closure_batches() {
-        eval.propagate_insertions_cached(&mut cache, &program, &mut db, &batch, None)
+        eval.fixpoint(&mut cache, &program, &mut db, Seed::Insert(&batch), None)
             .unwrap();
     }
     canonical_bytes(&db)

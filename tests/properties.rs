@@ -12,7 +12,7 @@ use orchestra_core::{Cdss, CdssBuilder};
 use orchestra_datalog::atom::Atom;
 use orchestra_datalog::program::Program;
 use orchestra_datalog::rule::Rule;
-use orchestra_datalog::Evaluator;
+use orchestra_datalog::{Evaluator, PlanCache, Seed};
 use orchestra_provenance::{
     CountingSemiring, Lineage, ProvenanceExpr, ProvenanceToken, Semiring, TropicalSemiring,
     WhyProvenance,
@@ -171,7 +171,7 @@ proptest! {
         let expected = path_tuples(&naive_db);
 
         let mut db = edge_db(&edges);
-        Evaluator::new().run(&tc_program(), &mut db).unwrap();
+        Evaluator::new().fixpoint(&mut PlanCache::new(), &tc_program(), &mut db, Seed::All, None).unwrap();
         prop_assert_eq!(path_tuples(&db), expected);
     }
 
@@ -183,19 +183,19 @@ proptest! {
         // Incremental: compute over base, then propagate extra edges.
         let mut incr = edge_db(&base);
         let mut eval = Evaluator::new();
-        eval.run(&tc_program(), &mut incr).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &tc_program(), &mut incr, Seed::All, None).unwrap();
         let mut deltas = HashMap::new();
         deltas.insert(
             "edge".to_string(),
             extra.iter().map(|(s, d)| int_tuple(&[*s, *d])).collect::<Vec<_>>(),
         );
-        eval.propagate_insertions(&tc_program(), &mut incr, &deltas, None).unwrap();
+        eval.fixpoint(&mut PlanCache::new(), &tc_program(), &mut incr, Seed::Insert(&deltas), None).unwrap();
 
         // Recomputation over base ∪ extra.
         let mut all: Vec<(i64, i64)> = base.clone();
         all.extend(extra.iter().copied());
         let mut full = edge_db(&all);
-        Evaluator::new().run(&tc_program(), &mut full).unwrap();
+        Evaluator::new().fixpoint(&mut PlanCache::new(), &tc_program(), &mut full, Seed::All, None).unwrap();
 
         prop_assert_eq!(path_tuples(&incr), path_tuples(&full));
     }
